@@ -15,7 +15,6 @@
 //	poem-exp protocols
 //	poem-exp capacity
 //	poem-exp scalability
-//	poem-exp load [-sessions 100000] [-senders 1000] [-packets 4] [-payload 64] [-batch 0] [-shards 0] [-scale 200] [-seed 1] [-rt-tolerance 20ms]
 //	poem-exp chaos [-seed 1] [-runs 20] [-events 60] [-shards 4]
 //	poem-exp all
 package main
@@ -40,14 +39,7 @@ func main() {
 		seed     = fs.Int64("seed", 1, "random seed")
 		runs     = fs.Int("runs", 20, "chaos: scenarios to run on consecutive seeds")
 		events   = fs.Int("events", 0, "chaos: events per scenario (0 = default)")
-		shards   = fs.Int("shards", 0, "chaos/load: server pipeline shards (0 = default)")
-		sessions = fs.Int("sessions", 0, "load: connected client population (0 = 100000)")
-		senders  = fs.Int("senders", 0, "load: transmitting subset (0 = sessions/100)")
-		packets  = fs.Int("packets", 0, "load: broadcasts per sender (0 = 4)")
-		payload  = fs.Int("payload", 0, "load: broadcast payload bytes (0 = 64)")
-		batch    = fs.Int("batch", 0, "load: scanner fire-batch limit (0 = default, 1 = single-fire ablation)")
-		rtTol    = fs.Duration("rt-tolerance", 0,
-			"chaos/load: fidelity deadline-miss tolerance (0 = default, negative disables monitoring)")
+		shards   = fs.Int("shards", 0, "chaos: server pipeline shards (0 = 1)")
 	)
 	if len(os.Args) < 2 {
 		usage()
@@ -95,13 +87,6 @@ func main() {
 		case "scalability":
 			_, err := experiment.Scalability(out, experiment.ScalabilityConfig{})
 			return err
-		case "load":
-			_, err := experiment.Load(out, experiment.LoadConfig{
-				Sessions: *sessions, Senders: *senders, Packets: *packets,
-				Payload: *payload, Shards: *shards, ScanBatch: *batch,
-				Scale: *scale, Seed: *seed, RTTolerance: *rtTol,
-			})
-			return err
 		case "chaos":
 			failures := chaos.Sweep(*seed, *runs, *events, *shards, func(rep chaos.Report) {
 				status := "ok"
@@ -144,5 +129,5 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: poem-exp <experiment> [flags]
-experiments: table1 table2 figure10 serialerror staleness clocksync neightable linkcurves protocols capacity scalability load chaos all`)
+experiments: table1 table2 figure10 serialerror staleness clocksync neightable linkcurves protocols capacity scalability chaos all`)
 }

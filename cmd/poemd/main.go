@@ -59,8 +59,6 @@ func main() {
 			"time+trace one packet in N per session (0 = default, negative = off)")
 		shards = flag.Int("shards", 0,
 			"pipeline shards the core runs (0 = min(GOMAXPROCS, 8); 1 = single-shard legacy pipeline)")
-		scanBatch = flag.Int("scan-batch", 0,
-			"due deliveries a shard scanner fires per schedule-lock cycle (0 = default; 1 = single-fire ablation)")
 		leakCheck = flag.Bool("mbuf-leakcheck", false,
 			"poison freed packet buffers and verify on shutdown that none leaked (debug aid; costs one memset per free)")
 		rtTolerance = flag.Duration("rt-tolerance", 0,
@@ -97,8 +95,7 @@ func main() {
 		Seed: *seed, TickStep: *tick, AutoCreateNodes: *autoCreate,
 		SendQueueDepth: *sendQueue, MaxStampSkew: *maxSkew,
 		Obs: reg, Tracer: tracer, ObsSampleEvery: *sampleEvery,
-		Shards: *shards, ScanBatch: *scanBatch,
-		RTTolerance: *rtTolerance,
+		Shards: *shards, RTTolerance: *rtTolerance,
 		Peers: peers, Self: *peerSelf, ClusterID: *clusterID, Coordinator: *coordinator,
 	})
 	if err != nil {

@@ -76,29 +76,26 @@ func runSeed(t *testing.T, seed int64, shards int) {
 	}
 }
 
-// TestChaosDigestAcrossShardsAndBatch pins the batch-firing scheduler's
-// strongest end-to-end claim: the executed schedule digest is a pure
-// function of the seed — byte-identical across shard counts (1 and 4)
-// and across scanner fire-batch limits (single-fire ablation vs the
-// default batch), with every invariant holding in each configuration.
-func TestChaosDigestAcrossShardsAndBatch(t *testing.T) {
+// TestChaosDigestAcrossShards pins the sharded pipeline's strongest
+// end-to-end claim: the executed schedule digest is a pure function of
+// the seed — byte-identical across shard counts (1 and 4), with every
+// invariant holding in each configuration.
+func TestChaosDigestAcrossShards(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		var want string
 		for _, shards := range []int{1, 4} {
-			for _, batch := range []int{1, 0} { // 0 = scanner default batch
-				rep := Run(Config{Seed: seed, Shards: shards, ScanBatch: batch})
-				if !rep.OK() {
-					t.Fatalf("shards=%d batch=%d: %s", shards, batch, rep.Failure())
-				}
-				if rep.Deliveries == 0 {
-					t.Fatalf("seed %d shards=%d batch=%d: no deliveries", seed, shards, batch)
-				}
-				if want == "" {
-					want = rep.Digest
-				} else if rep.Digest != want {
-					t.Fatalf("seed %d: digest diverged at shards=%d batch=%d: %s vs %s",
-						seed, shards, batch, rep.Digest, want)
-				}
+			rep := Run(Config{Seed: seed, Shards: shards})
+			if !rep.OK() {
+				t.Fatalf("shards=%d: %s", shards, rep.Failure())
+			}
+			if rep.Deliveries == 0 {
+				t.Fatalf("seed %d shards=%d: no deliveries", seed, shards)
+			}
+			if want == "" {
+				want = rep.Digest
+			} else if rep.Digest != want {
+				t.Fatalf("seed %d: digest diverged at shards=%d: %s vs %s",
+					seed, shards, rep.Digest, want)
 			}
 		}
 	}

@@ -140,7 +140,12 @@ func (s *Server) Execute(line string) string {
 }
 
 func (s *Server) execute(line string, w io.Writer) {
-	switch strings.Fields(line)[0] {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		fmt.Fprintln(w, "err: empty command")
+		return
+	}
+	switch fields[0] {
 	case "show":
 		snaps := s.scene.Snapshot()
 		marks := make([]render.Mark, len(snaps))

@@ -65,6 +65,8 @@ func TestExecuteErrors(t *testing.T) {
 		"add 1 pos",
 		"move 1 2,2",
 		"add 1 pos 0,0 radio ch=x range=1",
+		"",
+		" \t ",
 	} {
 		if out := srv.Execute(cmd); !strings.HasPrefix(out, "err:") {
 			t.Errorf("Execute(%q) = %q, want err", cmd, out)
@@ -75,6 +77,28 @@ func TestExecuteErrors(t *testing.T) {
 	if out := srv.Execute("add 1 pos 0,0"); !strings.HasPrefix(out, "err:") {
 		t.Errorf("duplicate add: %q", out)
 	}
+}
+
+// FuzzControlExecute feeds operator input, one command per line, to a
+// fresh scene: no input may panic the control server.
+func FuzzControlExecute(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"add 1 pos 100,100 radio ch=1 range=200\nmove 1 to 250,250\nshow\nnodes\ndump",
+		"add 2 pos 0,0 radio ch=1 range=50 radio ch=2 range=80\nrange 2 ch=2 120\nradios 2 radio ch=3 range=90",
+		"add 3 pos 10,10\nmobility 3 linear dir=90 speed=10\nremove 3",
+		"linkmodel ch=1 p0=0.1 p1=0.9 d0=50 r=200\npause\nresume\nstats",
+		"frobnicate\nadd 1 pos\nmove 1 2,2",
+		"add 1 pos 1e308,1e308 radio ch=1 range=1e308\nadd 2 pos -1e308,0 radio ch=1 range=1e308",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		srv, _ := newControl()
+		for _, line := range strings.Split(input, "\n") {
+			srv.Execute(line)
+		}
+	})
 }
 
 func TestShowAndNodes(t *testing.T) {

@@ -1,16 +1,15 @@
 package core
 
 // BenchmarkDispatchParallel measures the §3.2 scheduling hot path —
-// ingest: neighbor+model resolution, link-model evaluation, and the
-// schedule push — with many sessions sending concurrently, comparing
-// the locked read path (scene mutex taken twice per packet, fresh
-// neighbor slice each time) against the lock-free epoch-snapshot path
-// (one atomic load, zero copies). The schedule is a discard queue so
+// ingest: neighbor+model resolution through the lock-free epoch
+// snapshot, link-model evaluation, and the schedule push — with many
+// sessions sending concurrently. The schedule is a discard queue so
 // the benchmark isolates the dispatch stage from scanner/writer
-// throughput. Reported metrics: pkt/s and allocs/op (the snapshot path
-// must show 0 on the steady state).
+// throughput. Reported metrics: pkt/s and allocs/op (0 on the steady
+// state).
 //
-// Baseline numbers live in BENCH_dispatch.json at the repo root;
+// Baseline numbers live in BENCH_dispatch.json at the repo root (its
+// "locked" arm is a historical record of the retired mutex read path);
 // refresh with:
 //
 //	go test ./internal/core -run='^$' -bench=DispatchParallel -benchmem
@@ -37,16 +36,10 @@ func (discardQueue) PopDueBatch(vclock.Time, []sched.Item) int { return 0 }
 func (discardQueue) NextDue() (vclock.Time, bool)              { return 0, false }
 func (discardQueue) Len() int                                  { return 0 }
 
-// newDispatchBench builds a server over a populated scene: `nodes` VMNs
-// in a row on channel 1, spaced so each hears a handful of neighbors.
-// The injected Queue pins the server to a single shard.
-func newDispatchBench(tb testing.TB, locked bool, nodes int) *Server {
-	return newDispatchBenchShards(tb, locked, nodes, 0)
-}
-
-// newDispatchBenchShards is the sharded variant: discard queues come
-// from a QueueFactory so each shard's scanner gets its own.
-func newDispatchBenchShards(tb testing.TB, locked bool, nodes, shards int) *Server {
+// newDispatchBench builds a server of `shards` shards, each with its own
+// discard queue, over a populated scene: `nodes` VMNs in a row on
+// channel 1, spaced so each hears a handful of neighbors.
+func newDispatchBench(tb testing.TB, nodes, shards int) *Server {
 	tb.Helper()
 	clk := vclock.NewManual(vclock.FromSeconds(100))
 	sc := scene.New(radio.NewIndexed(120), clk, 1)
@@ -57,14 +50,8 @@ func newDispatchBenchShards(tb testing.TB, locked bool, nodes, shards int) *Serv
 			tb.Fatal(err)
 		}
 	}
-	cfg := ServerConfig{Clock: clk, Scene: sc, Seed: 1, LockedDispatch: locked}
-	if shards > 0 {
-		cfg.Shards = shards
-		cfg.QueueFactory = func() sched.Queue { return discardQueue{} }
-	} else {
-		cfg.Queue = discardQueue{}
-	}
-	srv, err := NewServer(cfg)
+	cfg := ServerConfig{Clock: clk, Scene: sc, Seed: 1, Shards: shards}
+	srv, err := newServer(cfg, func() sched.Queue { return discardQueue{} })
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -84,18 +71,16 @@ func BenchmarkDispatchParallel(b *testing.B) {
 	const nodes = 32
 	for _, mode := range []struct {
 		name   string
-		locked bool
 		shards int
 	}{
-		{"locked", true, 0},
-		{"snapshot", false, 0},
+		{"snapshot", 1},
 		// The schedule-push half of the hot path spread over 4 shard
 		// queues: on multi-core hosts concurrent sessions stop
 		// serializing on one scanner mutex.
-		{"snapshot-shards=4", false, 4},
+		{"snapshot-shards=4", 4},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			srv := newDispatchBenchShards(b, mode.locked, nodes, mode.shards)
+			srv := newDispatchBench(b, nodes, mode.shards)
 			var next int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -124,7 +109,7 @@ func BenchmarkDispatchParallel(b *testing.B) {
 // performs zero heap allocations for the neighbor/model lookup and
 // target selection.
 func TestIngestSteadyStateAllocFree(t *testing.T) {
-	srv := newDispatchBench(t, false, 16)
+	srv := newDispatchBench(t, 16, 1)
 	sess := benchSession(3, srv)
 	pkt := wire.Packet{
 		Src: 3, Dst: radio.Broadcast, Channel: 1,
@@ -139,30 +124,5 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 	}
 	if srv.Stats().Received == 0 {
 		t.Fatal("ingest did not run")
-	}
-}
-
-// TestLockedAndSnapshotDispatchAgree drives the same traffic through
-// both read paths and checks the forwarding decisions match: identical
-// target sets and identical schedule outcomes for a loss-free model.
-func TestLockedAndSnapshotDispatchAgree(t *testing.T) {
-	for _, nodes := range []int{2, 8, 32} {
-		stats := make([]ServerStats, 0, 2)
-		for _, locked := range []bool{true, false} {
-			srv := newDispatchBench(t, locked, nodes)
-			sess := benchSession(0, srv)
-			pkt := wire.Packet{Src: 0, Dst: radio.Broadcast, Channel: 1,
-				Stamp: vclock.FromSeconds(100)}
-			for i := 0; i < 50; i++ {
-				pkt.Seq = uint32(i)
-				srv.ingest(sess, pkt)
-			}
-			stats = append(stats, srv.Stats())
-		}
-		if stats[0].Received != stats[1].Received ||
-			stats[0].Dropped != stats[1].Dropped ||
-			stats[0].NoRoute != stats[1].NoRoute {
-			t.Errorf("nodes=%d: locked %+v vs snapshot %+v", nodes, stats[0], stats[1])
-		}
 	}
 }

@@ -8,7 +8,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/linkmodel"
 	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/record"
@@ -100,16 +99,8 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// Step 2: resolve NT(src, ch) and the channel's link model in one
 	// epoch-snapshot read — a single atomic load, no locks, no copies
 	// (scene.Dispatch). The row is shared with the snapshot and strictly
-	// read-only here. LockedDispatch is the ablation that answers the
-	// same questions through the scene mutex, twice.
-	var rows []radio.Neighbor
-	var model linkmodel.Model
-	if s.cfg.LockedDispatch {
-		rows = s.cfg.Scene.Neighbors(pkt.Src, pkt.Channel)
-		model = s.cfg.Scene.ModelFor(pkt.Channel)
-	} else {
-		rows, model = s.cfg.Scene.Dispatch(pkt.Src, pkt.Channel)
-	}
+	// read-only here.
+	rows, model := s.cfg.Scene.Dispatch(pkt.Src, pkt.Channel)
 	// Steps 2–3 fused: filter targets and roll the link-model die in one
 	// pass over the row. t_receipt is the client's parallel stamp
 	// (real-time recording), unless the baseline overrode it above. The

@@ -157,7 +157,7 @@ func (s *Server) Stats() ServerStats {
 type ShardStat struct {
 	Shard      int
 	Clients    int    // sessions registered on this shard
-	Scheduled  int    // this shard's schedule depth (wheel pending)
+	Scheduled  int    // this shard's schedule depth
 	Dispatched uint64 // deliveries fired by this shard's scanner
 	Entered    uint64 // deliveries listed into this shard's schedule
 	QueueDepth int    // summed send-queue depth of this shard's sessions

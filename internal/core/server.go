@@ -61,21 +61,12 @@ type ServerConfig struct {
 	Scene *scene.Scene
 	// Store receives packet and scene records; nil disables recording.
 	Store *record.Store
-	// Queue is the forwarding schedule; defaults to sched.NewHeap().
-	// One Queue instance backs exactly one shard's scanner, so setting
-	// Queue pins the server to a single shard (Shards left zero) and is
-	// an error with an explicit Shards > 1 — use QueueFactory there.
-	Queue sched.Queue
-	// QueueFactory builds one forwarding schedule per shard. nil means
-	// a fresh sched.NewHeap() per shard.
-	QueueFactory func() sched.Queue
 	// Shards is how many independent pipeline shards the core runs:
 	// each shard owns a slice of the session registry, its own schedule
-	// and scanner, and its own obs instruments (see shard.go). Zero
-	// selects DefaultShards() — min(GOMAXPROCS, 8) — unless Queue is
-	// set, which implies 1. One shard preserves the pre-sharding
-	// behavior exactly and is the ablation baseline. Negative is an
-	// error.
+	// (a sched.HeapQueue) and scanner, and its own obs instruments (see
+	// shard.go). Zero selects DefaultShards() — min(GOMAXPROCS, 8). One
+	// shard preserves the pre-sharding behavior exactly and is the
+	// ablation baseline. Negative is an error.
 	Shards int
 	// Seed feeds the link-model dice.
 	Seed int64
@@ -138,17 +129,6 @@ type ServerConfig struct {
 	// IngressDelay is per-packet processing time spent while holding
 	// the serial ingress lock (models NIC/CPU cost; wall-clock time).
 	IngressDelay time.Duration
-	// LockedDispatch resolves neighbors and link models through the
-	// scene mutex (the pre-snapshot read path) instead of the lock-free
-	// epoch views. Kept as an ablation knob for BenchmarkDispatchParallel
-	// so the locked/snapshot comparison measures the same pipeline.
-	LockedDispatch bool
-	// ScanBatch caps how many due deliveries a shard's scanner drains
-	// per lock acquisition (sched.Scanner.SetBatchLimit). Zero keeps the
-	// scanner default (sched.DefaultFireBatch); 1 restores the
-	// pre-batching single-fire loop and is the A7 ablation baseline.
-	// Negative is an error.
-	ScanBatch int
 
 	// RTTolerance is the real-time fidelity monitor's deadline-miss
 	// tolerance, in emulation time: a delivery firing more than this
@@ -207,12 +187,12 @@ const DefaultObsSampleEvery = 64
 const DefaultMaxStampSkew = time.Second
 
 // MaxDefaultShards caps the automatic shard count: past a handful of
-// shards the pipeline is no longer scanner-bound and more wheels only
+// shards the pipeline is no longer scanner-bound and more schedules only
 // cost goroutines and timers.
 const MaxDefaultShards = 8
 
 // DefaultShards is the shard count used when ServerConfig.Shards is
-// zero and no single-shard Queue is supplied: min(GOMAXPROCS, 8).
+// zero: min(GOMAXPROCS, 8).
 func DefaultShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > MaxDefaultShards {
@@ -318,6 +298,13 @@ type ServerStats struct {
 
 // NewServer validates the configuration and assembles a server.
 func NewServer(cfg ServerConfig) (*Server, error) {
+	return newServer(cfg, func() sched.Queue { return sched.NewHeap() })
+}
+
+// newServer is NewServer with the per-shard schedule constructor made
+// explicit: newQueue is called once per shard. Tests substitute
+// instrumented queues through it.
+func newServer(cfg ServerConfig, newQueue func() sched.Queue) (*Server, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("core: ServerConfig.Clock is required")
 	}
@@ -327,18 +314,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Shards < 0 {
 		return nil, errors.New("core: ServerConfig.Shards must not be negative")
 	}
-	if cfg.ScanBatch < 0 {
-		return nil, errors.New("core: ServerConfig.ScanBatch must not be negative")
-	}
 	if cfg.Shards == 0 {
-		if cfg.Queue != nil {
-			cfg.Shards = 1 // a caller-supplied Queue backs exactly one scanner
-		} else {
-			cfg.Shards = DefaultShards()
-		}
-	}
-	if cfg.Shards > 1 && cfg.Queue != nil {
-		return nil, errors.New("core: ServerConfig.Queue is single-shard; use QueueFactory with Shards > 1")
+		cfg.Shards = DefaultShards()
 	}
 	if err := validateCluster(cfg); err != nil {
 		return nil, err
@@ -353,19 +330,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		var q sched.Queue
-		switch {
-		case cfg.Queue != nil:
-			q = cfg.Queue
-		case cfg.QueueFactory != nil:
-			q = cfg.QueueFactory()
-		default:
-			q = sched.NewHeap()
-		}
-		if q == nil {
-			return nil, errors.New("core: ServerConfig.QueueFactory returned a nil queue")
-		}
-		s.shards[i] = newShard(i, s, q)
+		s.shards[i] = newShard(i, s, newQueue())
 	}
 	s.instrument(cfg)
 	if len(cfg.Peers) > 0 {

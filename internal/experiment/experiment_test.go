@@ -355,34 +355,6 @@ func TestScalabilitySweep(t *testing.T) {
 	}
 }
 
-// A7 smoke: the schedule-storm load run must quiesce with an exactly
-// closed conservation ledger at a small population, and the scanner
-// must actually coalesce fires (batches shallower than deliveries).
-func TestLoadSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	var buf bytes.Buffer
-	res, err := Load(&buf, LoadConfig{
-		Sessions: 24, Senders: 8, Packets: 5, Shards: 2, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Entered == 0 || res.Entered != res.Forwarded {
-		t.Fatalf("ledger: %+v", res)
-	}
-	if res.Drops != 0 || res.Abandoned != 0 {
-		t.Fatalf("storm lost deliveries: %+v", res)
-	}
-	if res.FireBatches == 0 || res.FireBatches >= res.Forwarded {
-		t.Errorf("no fire coalescing: %d batches for %d deliveries", res.FireBatches, res.Forwarded)
-	}
-	if !strings.Contains(buf.String(), "locks/delivery") {
-		t.Error("rendering incomplete")
-	}
-}
-
 // Shadowing ablation: log-normal fading makes the measured curve wander
 // further from the smooth expectation than the exact model does.
 func TestFigure10ShadowingAblation(t *testing.T) {

@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/radio"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -60,6 +62,42 @@ func FuzzGatewayFrame(f *testing.F) {
 			if st.Ingress != st.Accepted+st.Shed+st.BadFrame+st.Oversize+st.SendErr {
 				t.Fatalf("link %d ledger open after input %x: %+v", i, data, st)
 			}
+		}
+	})
+}
+
+// FuzzParsePortMap feeds arbitrary config text to the port-map parser,
+// which reads an operator-supplied file. It must never panic, and a
+// map it accepts must be usable: non-empty, every binding with a listen
+// address and a unicast node id, and no node bound twice.
+func FuzzParsePortMap(f *testing.F) {
+	f.Add("# real socket 9000 speaks as VMN 1, unicast to VMN 3 on channel 1\n" +
+		"map listen=127.0.0.1:9000 node=1 ch=1 dst=3 flow=7\n" +
+		"# egress side: framed, fixed return address\n" +
+		"map listen=127.0.0.1:9001 node=3 ch=1 peer=127.0.0.1:9100 framed\n")
+	f.Add("map listen=:0 node=2 ch=65535 dst=broadcast\n\n  \t\n")
+	f.Add("map listen=:0 node=4294967295 ch=1\nmap listen=:0 node=1 ch=1 framed=yes")
+	f.Add("route listen=:0\nmap node=1 node=2")
+	f.Fuzz(func(t *testing.T, src string) {
+		bs, err := ParsePortMap(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if len(bs) == 0 {
+			t.Fatal("accepted a map with no bindings")
+		}
+		nodes := map[radio.NodeID]bool{}
+		for _, b := range bs {
+			if b.Listen == "" {
+				t.Fatalf("binding %+v has no listen address", b)
+			}
+			if b.Node == radio.Broadcast {
+				t.Fatalf("binding %+v embodies the broadcast id", b)
+			}
+			if nodes[b.Node] {
+				t.Fatalf("node %v bound twice", b.Node)
+			}
+			nodes[b.Node] = true
 		}
 	})
 }

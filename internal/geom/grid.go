@@ -38,10 +38,24 @@ func (g *Grid) CellSize() float64 { return g.cell }
 func (g *Grid) Len() int { return len(g.pos) }
 
 func (g *Grid) keyFor(p Vec2) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / g.cell)),
-		cy: int32(math.Floor(p.Y / g.cell)),
+	return cellKey{cx: g.coord(p.X), cy: g.coord(p.Y)}
+}
+
+// coord maps one axis onto its cell index. Positions come from operator
+// input, so values past the int32 range (or infinite) saturate at its
+// ends rather than wrapping, and NaN lands in cell 0; the clamp is
+// monotone, so range queries stay exact.
+func (g *Grid) coord(v float64) int32 {
+	f := math.Floor(v / g.cell)
+	switch {
+	case f >= math.MaxInt32:
+		return math.MaxInt32
+	case f <= math.MinInt32:
+		return math.MinInt32
+	case f != f:
+		return 0
 	}
+	return int32(f)
 }
 
 // Put inserts or moves key to position p.
@@ -103,8 +117,8 @@ func (g *Grid) Within(center Vec2, r float64, exclude int64, fn func(key int64, 
 	// A radius much larger than the occupied area would walk millions
 	// of empty cells; when the cell window exceeds the number of
 	// occupied cells, scanning those directly is strictly cheaper.
-	window := (int64(hi.cx-lo.cx) + 1) * (int64(hi.cy-lo.cy) + 1)
-	if window > int64(len(g.cells)) {
+	wx, wy := int64(hi.cx)-int64(lo.cx)+1, int64(hi.cy)-int64(lo.cy)+1
+	if n := int64(len(g.cells)); wx > n || wy > n || wx*wy > n {
 		for ck, cell := range g.cells {
 			if ck.cx < lo.cx || ck.cx > hi.cx || ck.cy < lo.cy || ck.cy > hi.cy {
 				continue
@@ -120,9 +134,10 @@ func (g *Grid) Within(center Vec2, r float64, exclude int64, fn func(key int64, 
 		}
 		return
 	}
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for key, p := range g.cells[cellKey{cx, cy}] {
+	// int64 counters: a window ending at math.MaxInt32 must not wrap.
+	for cx := int64(lo.cx); cx <= int64(hi.cx); cx++ {
+		for cy := int64(lo.cy); cy <= int64(hi.cy); cy++ {
+			for key, p := range g.cells[cellKey{int32(cx), int32(cy)}] {
 				if key == exclude {
 					continue
 				}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -71,6 +72,32 @@ func TestGridNegativeRadius(t *testing.T) {
 	g.Put(1, V(0, 0))
 	if got := g.KeysWithin(V(0, 0), -1, -1); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
+	}
+}
+
+// Coordinates far outside the int32 cell range saturate instead of
+// wrapping: queries stay exact and finish without walking 2^31 cells.
+func TestGridExtremeCoordinates(t *testing.T) {
+	g := NewGrid(200)
+	g.Put(1, V(1e300, 1e300))
+	g.Put(2, V(-1e300, 0))
+	g.Put(3, V(0, 0))
+	g.Put(4, V(1e12, 5))
+	for _, tc := range []struct {
+		center Vec2
+		r      float64
+		want   int
+	}{
+		{V(1e300, 1e300), 10, 1}, // a window at the int32 ceiling
+		{V(-1e300, 0), 1e13, 1},
+		{V(0, 0), 1e13, 2},
+		{V(0, 0), math.Inf(1), 4},
+		{V(-1e308, 0), 1e308, 2}, // r² overflows to +Inf
+		{V(math.NaN(), 0), 1e13, 0},
+	} {
+		if got := g.KeysWithin(tc.center, tc.r, -1); len(got) != tc.want {
+			t.Errorf("KeysWithin(%v, %g) = %v, want %d keys", tc.center, tc.r, got, tc.want)
+		}
 	}
 }
 

@@ -382,6 +382,10 @@ func (s *Store) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxPrealloc caps the record slices Load sizes up front from a
+// snapshot's header counts.
+const maxPrealloc = 1 << 16
+
 // Load reads a snapshot previously written by Save into a fresh store.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
@@ -407,11 +411,15 @@ func Load(r io.Reader) (*Store, error) {
 	if np > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible packet count %d", ErrBadSnapshot, np)
 	}
-	s.packets = make([]Packet, np)
-	for i := range s.packets {
-		if err := readPacket(br, &s.packets[i]); err != nil {
+	// The counts come from the file: grow toward them as records
+	// actually arrive instead of allocating what the header claims.
+	s.packets = make([]Packet, 0, min(np, maxPrealloc))
+	for i := uint64(0); i < np; i++ {
+		var p Packet
+		if err := readPacket(br, &p); err != nil {
 			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadSnapshot, i, err)
 		}
+		s.packets = append(s.packets, p)
 	}
 	var ns uint64
 	if err := binary.Read(br, binary.BigEndian, &ns); err != nil {
@@ -420,11 +428,13 @@ func Load(r io.Reader) (*Store, error) {
 	if ns > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible scene count %d", ErrBadSnapshot, ns)
 	}
-	s.scenes = make([]Scene, ns)
-	for i := range s.scenes {
-		if err := readScene(br, &s.scenes[i]); err != nil {
+	s.scenes = make([]Scene, 0, min(ns, maxPrealloc))
+	for i := uint64(0); i < ns; i++ {
+		var sc Scene
+		if err := readScene(br, &sc); err != nil {
 			return nil, fmt.Errorf("%w: scene %d: %v", ErrBadSnapshot, i, err)
 		}
+		s.scenes = append(s.scenes, sc)
 	}
 	return s, nil
 }

@@ -205,6 +205,15 @@ func TestLoadRejectsImplausibleCounts(t *testing.T) {
 	if _, err := Load(&buf); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("huge count: %v", err)
 	}
+	// A count under the cap but far beyond the bytes that follow must
+	// fail on the missing records, not allocate what the header claims.
+	buf.Reset()
+	buf.WriteString("PoEm")
+	buf.Write([]byte{0, 1})
+	buf.Write([]byte{0, 0, 0, 0, 0x7F, 0x7F, 0x7F, 0x7F, 0x0B, 0xB8})
+	if _, err := Load(&buf); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("count past the data: %v", err)
+	}
 }
 
 // Property: random packet records survive persistence bit-for-bit.

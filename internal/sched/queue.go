@@ -4,10 +4,10 @@
 // scanning goroutine watches the schedule and fires a sender the moment
 // the emulation clock reaches each departure.
 //
-// Three queue organizations are provided for the A1 ablation benchmark:
-// a binary heap (default), an insertion-sorted list (the naive "queues
-// for schedules" of the paper's §5), and a timing wheel. All satisfy
-// Queue and deliver items in (Due, push-order) sequence.
+// Two queue organizations are provided: a binary heap (the server's
+// schedule) and an insertion-sorted list (the naive "queues for
+// schedules" of the paper's §5, kept for the A1 ablation benchmark).
+// Both satisfy Queue and deliver items in (Due, push-order) sequence.
 package sched
 
 import (

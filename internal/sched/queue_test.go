@@ -11,9 +11,8 @@ import (
 
 func queues() map[string]func() Queue {
 	return map[string]func() Queue{
-		"heap":  func() Queue { return NewHeap() },
-		"list":  func() Queue { return NewList() },
-		"wheel": func() Queue { return NewWheel(vclock.FromMillis(10), 64) },
+		"heap": func() Queue { return NewHeap() },
+		"list": func() Queue { return NewList() },
 	}
 }
 
@@ -143,8 +142,8 @@ func TestQueueEquivalenceRandomized(t *testing.T) {
 }
 
 // Property: PopDueBatch is observationally identical to repeated PopDue
-// — same items, same (Due, seq) order, same residual queue — across all
-// three implementations, arbitrary interleavings, and arbitrary batch
+// — same items, same (Due, seq) order, same residual queue — across
+// both implementations, arbitrary interleavings, and arbitrary batch
 // buffer sizes (including buffers smaller than the due run).
 func TestPopDueBatchMatchesPopDue(t *testing.T) {
 	for name, mk := range queues() {
@@ -222,35 +221,6 @@ func TestPopDueBatchEdgeCases(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestWheelOverflow(t *testing.T) {
-	// Horizon = 10ms × 4 slots = 40ms; schedule far beyond it.
-	q := NewWheel(vclock.FromMillis(10), 4)
-	for _, ms := range []int64{5, 500, 50, 5000, 15} {
-		q.Push(Item{Due: vclock.FromMillis(ms)})
-	}
-	var got []int64
-	now := vclock.Time(0)
-	for q.Len() > 0 {
-		now += vclock.FromMillis(1)
-		for {
-			it, ok := q.PopDue(now)
-			if !ok {
-				break
-			}
-			got = append(got, int64(it.Due)/1e6)
-		}
-	}
-	want := []int64{5, 15, 50, 500, 5000}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("overflow order: %v", got)
-		}
 	}
 }
 

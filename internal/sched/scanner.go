@@ -9,10 +9,10 @@ import (
 )
 
 // DefaultFireBatch is how many due items the scanner drains from the
-// schedule per lock acquisition when no explicit limit is set. The
-// batch buffer is allocated once at Start (256 × ~100 B ≈ 25 KiB per
-// shard); past a few hundred entries a deeper batch only grows the
-// buffer without amortizing anything further.
+// schedule per lock acquisition. The batch buffer is allocated once at
+// Start (256 × ~100 B ≈ 25 KiB per shard); past a few hundred entries a
+// deeper batch only grows the buffer without amortizing anything
+// further.
 const DefaultFireBatch = 256
 
 // scannerAwake is the sleepDue sentinel for "not sleeping": the scanner
@@ -38,7 +38,7 @@ type Scanner struct {
 	clk      vclock.WaitClock
 	dispatch func(Item)
 	waiter   vclock.Waiter
-	batchCap int
+	batchCap int       // due items drained per lock cycle; tests set 1 for single-fire
 	onBatch  func(int) // optional fire-batch-size observer (obs)
 	// onFire observes each non-empty batch with the clock reading that
 	// popped it, before dispatch — the real-time fidelity monitor reads
@@ -106,15 +106,6 @@ func NewScanner(q Queue, clk vclock.WaitClock, dispatch func(Item)) *Scanner {
 	}
 	s.sleepDue.Store(scannerAwake)
 	return s
-}
-
-// SetBatchLimit bounds how many due items one lock acquisition may
-// drain. 1 reproduces the pre-batching single-fire loop exactly (the A7
-// ablation baseline). Call before Start.
-func (s *Scanner) SetBatchLimit(n int) {
-	if n > 0 {
-		s.batchCap = n
-	}
 }
 
 // SetBatchObserver installs fn to observe each non-empty fire batch's

@@ -277,7 +277,7 @@ func TestScannerBatchObserver(t *testing.T) {
 	}
 }
 
-// SetBatchLimit(1) reproduces single-fire exactly: every batch has size
+// A batch cap of 1 reproduces single-fire exactly: every batch has size
 // 1 — the A7 ablation baseline must be the old loop, not a variant.
 func TestScannerBatchLimitOne(t *testing.T) {
 	clk := vclock.NewManual(0)
@@ -285,7 +285,7 @@ func TestScannerBatchLimitOne(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
 	s := NewScanner(NewHeap(), clk, col.dispatch)
-	s.SetBatchLimit(1)
+	s.batchCap = 1
 	s.SetBatchObserver(func(n int) {
 		mu.Lock()
 		sizes = append(sizes, n)

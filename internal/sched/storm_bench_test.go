@@ -43,7 +43,7 @@ func BenchmarkScannerStorm(b *testing.B) {
 					once.Do(func() { close(doneAll) })
 				}
 			})
-			s.SetBatchLimit(batch)
+			s.batchCap = batch
 			s.Start()
 			defer s.Stop()
 			b.ReportAllocs()

@@ -27,5 +27,7 @@ run ./internal/record FuzzLoad
 run ./internal/routing FuzzDecodeFrame
 run ./internal/routing FuzzProtocolsSurviveGarbage
 run ./internal/gateway FuzzGatewayFrame
+run ./internal/gateway FuzzParsePortMap
+run ./internal/control FuzzControlExecute
 
 echo "fuzz smoke: all targets survived $FUZZTIME"

@@ -67,6 +67,10 @@ func TestExecuteErrors(t *testing.T) {
 		"add 1 pos 0,0 radio ch=x range=1",
 		"",
 		" \t ",
+		"add 4294967295 pos 0,0",
+		"add 9 pos NaN,0",
+		"add 9 pos 0,0 radio ch=1 range=+Inf",
+		"range 9 ch=1 NaN",
 	} {
 		if out := srv.Execute(cmd); !strings.HasPrefix(out, "err:") {
 			t.Errorf("Execute(%q) = %q, want err", cmd, out)
@@ -90,6 +94,9 @@ func FuzzControlExecute(f *testing.F) {
 		"linkmodel ch=1 p0=0.1 p1=0.9 d0=50 r=200\npause\nresume\nstats",
 		"frobnicate\nadd 1 pos\nmove 1 2,2",
 		"add 1 pos 1e308,1e308 radio ch=1 range=1e308\nadd 2 pos -1e308,0 radio ch=1 range=1e308",
+		"add 4294967295 pos 0,0\nmove 4294967295 to 1,1",
+		"add 1 pos NaN,0 radio ch=1 range=10\nadd 2 pos 0,+Inf\nadd 3 pos 0,0 radio ch=1 range=NaN",
+		"add 4 pos 0,0 radio ch=1 range=10\nrange 4 ch=1 NaN\nrange 4 ch=1 +Inf\nradios 4 radio ch=1 range=Inf\nmove 4 to -Inf,0",
 	} {
 		f.Add(seed)
 	}

@@ -236,11 +236,10 @@ func validateCluster(cfg ServerConfig) error {
 // targets compact to the front of items and are returned for the usual
 // per-shard push. Entered counts at the peer where a delivery enters a
 // schedule, so per-server conservation ledgers stay exact and the
-// cluster-wide ledger is their sum. Runs on the session's reader
-// goroutine; grouping scratch lives on the session.
-func (cl *cluster) routeRemote(sess *session, items []sched.Item) []sched.Item {
+// cluster-wide ledger is their sum. sc is the calling ingest's scratch.
+func (cl *cluster) routeRemote(sc *ingestScratch, items []sched.Item) []sched.Item {
 	n := len(items)
-	idxs := sess.peerIdx[:0]
+	idxs := sc.peerIdx[:0]
 	remote := 0
 	for i := range items {
 		p := int32(PeerIndex(items[i].To, cl.n))
@@ -249,7 +248,7 @@ func (cl *cluster) routeRemote(sess *session, items []sched.Item) []sched.Item {
 		}
 		idxs = append(idxs, p)
 	}
-	sess.peerIdx = idxs
+	sc.peerIdx = idxs
 	if remote == 0 {
 		return items
 	}
@@ -331,12 +330,9 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	}
 	cl.addConn(conn)
 	defer cl.removeConn(conn)
-	// Per-connection scratch, same confinement as a session's.
-	var (
-		items []sched.Item
-		idxs  []int32
-		group []sched.Item
-	)
+	// Per-connection scratch: a trunk carries a steady stream, so it
+	// keeps its own rather than borrowing the server's per batch.
+	var sc ingestScratch
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -344,7 +340,7 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 		}
 		switch v := m.(type) {
 		case *wire.TrunkBatch:
-			items = cl.ingestTrunkBatch(v, items, &idxs, &group)
+			cl.ingestTrunkBatch(v, &sc)
 		case *wire.TrunkScene:
 			cl.applyScene(v)
 		case *wire.TrunkStatus:
@@ -362,9 +358,9 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 // times are floored at the local clock (they were computed against the
 // sender's), and the per-shard grouped push counts them Entered here —
 // the receiving side of the cluster conservation ledger.
-func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, items []sched.Item, idxs *[]int32, group *[]sched.Item) []sched.Item {
+func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, sc *ingestScratch) {
 	now := cl.srv.cfg.Clock.Now()
-	items = items[:0]
+	items := sc.items[:0]
 	for i := range tb.Entries {
 		e := &tb.Entries[i]
 		due := e.Due
@@ -377,11 +373,9 @@ func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, items []sched.Item, idx
 	tb.Entries = tb.Entries[:0]
 	wire.ReleaseTrunkBatch(tb)
 	cl.mRecvEntries.Add(uint64(len(items)))
-	cl.srv.pushGrouped(items, idxs, group)
-	for i := range items {
-		items[i] = sched.Item{}
-	}
-	return items
+	cl.srv.pushGrouped(items, sc)
+	clear(items)
+	sc.items = items
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ type rig struct {
 
 func newRig(t *testing.T, mutate func(*ServerConfig)) *rig {
 	t.Helper()
+	return newRigServing(t, mutate, nil)
+}
+
+// newRigServing is newRig with the listener the server accepts from
+// wrapped by wrap (nil serves r.lis directly). Clients still dial r.lis.
+func newRigServing(t *testing.T, mutate func(*ServerConfig), wrap func(transport.Listener) transport.Listener) *rig {
+	t.Helper()
 	clk := vclock.NewSystem(50) // compressed time: 20ms wall = 1s emulated
 	sc := scene.New(radio.NewIndexed(250), clk, 1)
 	st := record.NewStore()
@@ -62,10 +69,14 @@ func newRig(t *testing.T, mutate func(*ServerConfig)) *rig {
 		t.Fatal(err)
 	}
 	lis := transport.NewInprocListener()
+	var served transport.Listener = lis
+	if wrap != nil {
+		served = wrap(lis)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Serve(lis)
+		srv.Serve(served)
 	}()
 	r := &rig{t: t, clk: clk, scene: sc, store: st, server: srv, lis: lis, done: done}
 	t.Cleanup(func() {

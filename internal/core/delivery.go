@@ -1,12 +1,13 @@
 package core
 
 // Delivery: §3.2 steps 5–6. Each shard's scanner fires due items into
-// the addressee's bounded send queue (deliver); one dedicated writer
-// goroutine per session drains that queue and performs the socket
-// writes (sessionWriter/writeOut).
+// the addressee's bounded send queue (deliver); a writer goroutine,
+// started by the queue when entries arrive and gone once it has drained
+// them, performs the socket writes (sessionWriter/writeBatch).
 
 import (
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/record"
@@ -17,11 +18,11 @@ import (
 
 // deliver is §3.2 step 6: at the scheduled time the packet is handed
 // to the addressee's outbound queue. It runs on this shard's scanner
-// goroutine and never blocks — the session's dedicated writer performs
-// the socket write, so the scanner cannot be stalled by a slow client
-// and the goroutine count stays O(connected clients + shards) rather
-// than O(in-flight packets). Because the scanner fires items in due
-// order and the queue is FIFO, deliveries to a client leave in
+// goroutine and never blocks — the session's writer performs the
+// socket write, so the scanner cannot be stalled by a slow client, and
+// the goroutine count stays O(sessions with traffic in flight + shards)
+// rather than O(in-flight packets). Because the scanner fires items in
+// due order and the queue is FIFO, deliveries to a client leave in
 // schedule order; ingest routes every item for this destination to
 // this one shard, so no other scanner can interleave.
 //
@@ -83,29 +84,53 @@ func (sh *shard) deliver(it sched.Item) {
 // latency bounded while still amortizing the syscall across a burst.
 const maxFlushBatch = 64
 
-// sessionWriter is the per-session sending goroutine: it drains the
-// session's queue in FIFO order and performs the actual writes. One
-// writer per session means a wedged client backpressures only itself;
-// everyone else's writers keep draining. The writer pops entries in
-// batches and ships each batch as one vectored write when the transport
-// supports it — under fan-out the queue refills faster than the kernel
-// accepts frames, so a batch is usually waiting by the time Send
-// returns, and coalescing it collapses n syscalls into one.
+// writerScratch is one running writer's batch buffers. Writers come
+// and go with traffic, so the buffers are pooled rather than held by
+// every session (and kept off the goroutine stack, which would grow
+// every writer's).
+type writerScratch struct {
+	batch []outMsg   // popped entries, cap maxFlushBatch
+	msgs  []wire.Msg // the batch as wire messages
+}
+
+var writerScratchPool = sync.Pool{New: func() any {
+	return &writerScratch{
+		batch: make([]outMsg, 0, maxFlushBatch),
+		msgs:  make([]wire.Msg, 0, maxFlushBatch),
+	}
+}}
+
+// sessionWriter is the session's sending goroutine: it drains the queue
+// in FIFO order, performs the actual writes, and exits once the queue
+// is empty (the next push starts a new one). One writer per session at
+// most means a wedged client backpressures only itself — its writer
+// stays parked in Send while everyone else's keep draining. The writer
+// pops entries in batches and ships each batch as one vectored write
+// when the transport supports it — under fan-out the queue refills
+// faster than the kernel accepts frames, so a batch is usually waiting
+// by the time Send returns, and coalescing it collapses n syscalls into
+// one.
 func (s *Server) sessionWriter(sess *session) {
 	defer s.wg.Done()
-	batch := make([]outMsg, 0, maxFlushBatch)
+	sc := writerScratchPool.Get().(*writerScratch)
+	defer func() {
+		clear(sc.batch[:cap(sc.batch)]) // don't pin radio slices in the pool
+		writerScratchPool.Put(sc)
+	}()
 	for {
-		var ok bool
 		// Popped entries are "in flight" until their counters are settled
 		// — forwarded on success, abandoned on a failed send — so a drain
 		// check never observes the gap between pop and accounting.
-		batch, ok = sess.q.popBatch(sess.stop, batch)
-		if !ok {
-			return // session over; the queue accounted anything left
+		batch := sess.q.popBatch(sc.batch)
+		if len(batch) == 0 {
+			return // drained, or the session is over
 		}
-		err := s.writeBatch(sess, batch)
+		err := s.writeBatch(sess, batch, sc)
 		sess.q.done(len(batch))
 		if err != nil {
+			// The connection is dead. Exit with running still set, so no
+			// new writer retries it; the session's close abandons
+			// whatever is queued by then.
 			return
 		}
 	}
@@ -135,7 +160,7 @@ func sendAll(conn transport.Conn, msgs []wire.Msg) (int, error) {
 // each entry's accounting: forwarded for entries that reached the wire,
 // abandoned for data entries behind a send error (the session is dying —
 // the caller exits the writer).
-func (s *Server) writeBatch(sess *session, batch []outMsg) error {
+func (s *Server) writeBatch(sess *session, batch []outMsg, sc *writerScratch) error {
 	var t0 time.Time
 	traced := false
 	for i := range batch {
@@ -147,7 +172,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 	if traced {
 		t0 = time.Now()
 	}
-	msgs := sess.wmsgs[:0]
+	msgs := sc.msgs[:0]
 	for i := range batch {
 		m := &batch[i]
 		switch m.kind {
@@ -163,7 +188,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 	for i := range msgs {
 		msgs[i] = nil // the transport owns (or has retired) every message
 	}
-	sess.wmsgs = msgs[:0]
+	sc.msgs = msgs[:0]
 	s.hFlushBatch.Observe(time.Duration(len(batch)))
 
 	if traced && sent > 0 {

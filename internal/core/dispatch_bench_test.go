@@ -60,10 +60,9 @@ func newDispatchBench(tb testing.TB, nodes, shards int) *Server {
 
 func benchSession(id radio.NodeID, srv *Server) *session {
 	return &session{
-		id:   id,
-		rng:  rand.New(rand.NewSource(int64(id) + 1)),
-		q:    newSendQueue(0, srv.mQueueDrops, srv.mAbandoned, srv.tracer),
-		stop: make(chan struct{}),
+		id:  id,
+		rng: rand.New(rand.NewSource(int64(id) + 1)),
+		q:   newSendQueue(0, srv.mQueueDrops, srv.mAbandoned, srv.tracer),
 	}
 }
 

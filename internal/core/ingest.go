@@ -6,6 +6,8 @@ package core
 // the SerializeChannels extension — the shared channel airtime map.
 
 import (
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -15,6 +17,69 @@ import (
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
+
+// ingestScratch is the working memory of one ingest call (or of one
+// trunk connection's batch ingest): kept collects the link-model
+// survivors, items the schedule entries built from them, and shardIdx,
+// group and peerIdx the per-shard and per-peer grouping of those
+// entries (pushItems, cluster.routeRemote). The item slices are zeroed
+// once the schedule owns the entries, so an idle scratch pins no
+// packet buffer.
+type ingestScratch struct {
+	kept     []keptTarget
+	items    []sched.Item
+	group    []sched.Item
+	shardIdx []int32
+	peerIdx  []int32
+}
+
+// scratchCache lends ingest scratch to reader goroutines, so the
+// scratch is O(concurrent ingests) — a few per core — rather than one
+// per session. Each slot holds at most one idle scratch and a taker
+// swaps it out, so ownership is exclusive without a lock; a session
+// starts its search at a slot picked by its id, which spreads
+// concurrent readers over different cache lines. (sync.Pool would
+// serve, except that race builds deliberately drop a share of its
+// Puts, and ingest's allocation-free steady state is checked under
+// -race too.)
+type scratchCache struct {
+	slots []scratchSlot
+}
+
+type scratchSlot struct {
+	sc atomic.Pointer[ingestScratch]
+	_  [56]byte // one slot per cache line
+}
+
+func newScratchCache() scratchCache {
+	return scratchCache{slots: make([]scratchSlot, 4*runtime.GOMAXPROCS(0))}
+}
+
+// get takes an idle scratch, searching from slot hint, or makes one.
+func (c *scratchCache) get(hint uint32) *ingestScratch {
+	n := uint32(len(c.slots))
+	for i := uint32(0); i < n; i++ {
+		slot := &c.slots[(hint+i)%n].sc
+		if slot.Load() == nil {
+			continue
+		}
+		if sc := slot.Swap(nil); sc != nil {
+			return sc
+		}
+	}
+	return new(ingestScratch)
+}
+
+// put returns sc to the first free slot from hint; with every slot
+// taken it is left to the garbage collector.
+func (c *scratchCache) put(hint uint32, sc *ingestScratch) {
+	n := uint32(len(c.slots))
+	for i := uint32(0); i < n; i++ {
+		if c.slots[(hint+i)%n].sc.CompareAndSwap(nil, sc) {
+			return
+		}
+	}
+}
 
 // ingest is §3.2 steps 1–4 for one received packet. Each surviving
 // target is listed into the schedule of the shard that owns the
@@ -27,7 +92,9 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// delivered" then implies no ingest is still mid-flight, which is
 	// what lets a drained pipeline be checked with exact equalities
 	// instead of retry heuristics (see Quiesce and internal/chaos).
+	sc := s.scratch.get(uint32(sess.id))
 	defer func() {
+		s.scratch.put(uint32(sess.id), sc)
 		s.mReceived.Inc()
 		sess.received.Add(1)
 	}()
@@ -104,8 +171,8 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// Steps 2–3 fused: filter targets and roll the link-model die in one
 	// pass over the row. t_receipt is the client's parallel stamp
 	// (real-time recording), unless the baseline overrode it above. The
-	// survivors land in the session's reusable scratch buffer.
-	kept := sess.kept[:0]
+	// survivors land in the pooled scratch.
+	kept := sc.kept[:0]
 	matched := 0
 	var maxTx time.Duration
 	for _, nb := range rows {
@@ -130,7 +197,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			maxTx = dec.TxTime
 		}
 	}
-	sess.kept = kept
+	sc.kept = kept
 	// Resolve stage done: dispatch view read, targets filtered, dice
 	// rolled. The histogram gets the wall cost, the trace the emulation
 	// timestamp.
@@ -178,7 +245,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			s.pruneChanFreeLocked(now, pkt.Channel)
 		}
 		s.chanMu.Unlock()
-		items := sess.items[:0]
+		items := sc.items[:0]
 		for i, k := range kept {
 			due := txEnd.Add(k.delay)
 			if due < now {
@@ -190,14 +257,14 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			}
 			items = append(items, it)
 		}
-		sess.items = items
-		s.pushItems(sess, items)
+		sc.items = items
+		s.pushItems(sc, items)
 		if sampled {
 			s.hIngest.Observe(time.Since(obsStart))
 		}
 		return
 	}
-	items := sess.items[:0]
+	items := sc.items[:0]
 	for i, k := range kept {
 		// The paper's base formula: t_forward = t_receipt + delay +
 		// size/bandwidth, per destination, independently.
@@ -214,8 +281,8 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 		}
 		items = append(items, it)
 	}
-	sess.items = items
-	s.pushItems(sess, items)
+	sc.items = items
+	s.pushItems(sc, items)
 	if sampled {
 		s.hIngest.Observe(time.Since(obsStart))
 	}
@@ -225,14 +292,13 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 // destination shards — and, on a federated server, first splits off the
 // deliveries whose target VMN is owned by a remote peer: those leave on
 // the cluster trunks (cluster.routeRemote) and only the locally-owned
-// remainder goes through the shard grouping. Runs on the session's
-// reader goroutine; the grouping scratch lives on the session (same
-// confinement as kept).
-func (s *Server) pushItems(sess *session, items []sched.Item) {
+// remainder goes through the shard grouping. sc is the calling
+// ingest's scratch.
+func (s *Server) pushItems(sc *ingestScratch, items []sched.Item) {
 	if cl := s.cluster; cl != nil {
-		items = cl.routeRemote(sess, items)
+		items = cl.routeRemote(sc, items)
 	}
-	s.pushGrouped(items, &sess.shardIdx, &sess.group)
+	s.pushGrouped(items, sc)
 	for i := range items {
 		items[i] = sched.Item{}
 	}
@@ -245,9 +311,9 @@ func (s *Server) pushItems(sess *session, items []sched.Item) {
 // lock cycles; now it costs one per distinct destination shard). The
 // order within items is preserved inside every group, so
 // per-destination FIFO is exactly what sequential pushes produced.
-// idxsp/groupp are the caller's reusable scratch (a session's, or a
-// trunk ingress connection's).
-func (s *Server) pushGrouped(items []sched.Item, idxsp *[]int32, groupp *[]sched.Item) {
+// sc supplies the grouping buffers (an ingest call's pooled scratch, or
+// a trunk ingress connection's own).
+func (s *Server) pushGrouped(items []sched.Item, sc *ingestScratch) {
 	n := len(items)
 	switch {
 	case n == 0:
@@ -261,31 +327,29 @@ func (s *Server) pushGrouped(items []sched.Item, idxsp *[]int32, groupp *[]sched
 		// unclaimed item, gather every later item on the same shard (in
 		// order) and hand the group over in one pushBatch. O(n·shards)
 		// worst case with n bounded by the scene's neighbor count.
-		idxs := (*idxsp)[:0]
+		idxs := sc.shardIdx[:0]
 		for i := range items {
 			idxs = append(idxs, int32(ShardIndex(items[i].To, len(s.shards))))
 		}
-		*idxsp = idxs
+		sc.shardIdx = idxs
 		for i := 0; i < n; i++ {
 			sh := idxs[i]
 			if sh < 0 {
 				continue
 			}
-			group := append((*groupp)[:0], items[i])
+			group := append(sc.group[:0], items[i])
 			for j := i + 1; j < n; j++ {
 				if idxs[j] == sh {
 					group = append(group, items[j])
 					idxs[j] = -1
 				}
 			}
-			*groupp = group
+			sc.group = group
 			s.shards[sh].pushBatch(group)
-		}
-		// The schedule owns copies now; drop the group scratch's packet
-		// references so a pooled buffer freed after delivery is not kept
-		// reachable by this caller's idle scratch.
-		for i := range *groupp {
-			(*groupp)[i] = sched.Item{}
+			// The schedule owns copies now; drop the scratch's packet
+			// references so an idle scratch keeps no pooled buffer
+			// reachable.
+			clear(group)
 		}
 	}
 }

@@ -36,8 +36,14 @@ type outMsg struct {
 // subscription) never block: when the queue is full the oldest *data*
 // entry is discarded — late packets are the least valuable, while radio
 // notifications must survive so the client's channel view stays
-// current. One writer goroutine drains the queue in FIFO order, which
-// is what guarantees per-client deliveries leave in schedule order.
+// current.
+//
+// The writer that drains the queue runs only while there is something
+// to drain: push starts it when an entry arrives and none is running,
+// and it exits as soon as it finds the queue empty. At most one writer
+// runs at a time and it pops in FIFO order, which is what guarantees
+// per-client deliveries leave in schedule order — while an idle session
+// holds no goroutine at all.
 type sendQueue struct {
 	mu     sync.Mutex
 	buf    []outMsg // ring storage, grown on demand up to cap
@@ -45,7 +51,17 @@ type sendQueue struct {
 	n      int      // live entries
 	limit  int      // hard bound on n
 	closed bool
-	wake   chan struct{} // 1-buffered writer wakeup
+
+	// open gates the writer: no writer starts before it is set, so
+	// register can put the HelloAck on the wire ahead of anything
+	// queued. running is true while a writer owns the drain.
+	open    bool
+	running bool
+	// writer is the drain loop push starts on its own goroutine, built
+	// once per session so a start allocates nothing; wg tracks it for
+	// Server.Close. Both are set before the session becomes visible.
+	writer func()
+	wg     *sync.WaitGroup
 
 	// inflight counts entries the writer has popped but not finished
 	// processing (forwarded-or-abandoned, counters included). depth
@@ -69,7 +85,7 @@ func newSendQueue(limit int, totalDrops, totalAbandoned *obs.Counter, tracer *ob
 	if limit <= 0 {
 		limit = DefaultSendQueueDepth
 	}
-	return &sendQueue{limit: limit, wake: make(chan struct{}, 1),
+	return &sendQueue{limit: limit,
 		totalDrops: totalDrops, totalAbandoned: totalAbandoned, tracer: tracer}
 }
 
@@ -142,11 +158,35 @@ func (q *sendQueue) push(m outMsg) bool {
 		}
 	}
 	q.appendLocked(m)
+	q.startLocked()
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
+	return true
+}
+
+// startLocked launches the writer when the gate is open, entries wait
+// and no writer is running. Callers hold q.mu and have checked that the
+// queue is not closed: Server.Close closes every queue before its
+// wg.Wait, so each wg.Add here happens before that Wait.
+func (q *sendQueue) startLocked() {
+	if !q.open || q.running || q.n == 0 {
+		return
 	}
+	q.running = true
+	q.wg.Add(1)
+	go q.writer()
+}
+
+// openGate lets writers run — register calls it once the HelloAck is on
+// the wire — and starts one for anything queued meanwhile. It reports
+// false when the queue is already closed.
+func (q *sendQueue) openGate() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
+	q.open = true
+	q.startLocked()
 	return true
 }
 
@@ -178,13 +218,16 @@ func (q *sendQueue) dropOldestDataLocked() bool {
 		if q.buf[idx].kind != outData {
 			continue
 		}
-		// Shift the entries before i up by one slot, then advance head:
+		// Rotate the victim to the head — the notifications before it
+		// shift up one slot, keeping their order — then evict the head:
 		// O(depth) but only on the overflow path.
+		victim := q.buf[idx]
 		for j := i; j > 0; j-- {
 			cur := (q.head + j) % len(q.buf)
 			prev := (q.head + j - 1) % len(q.buf)
 			q.buf[cur] = q.buf[prev]
 		}
+		q.buf[q.head] = victim
 		q.dropHeadLocked()
 		return true
 	}
@@ -207,67 +250,33 @@ func (q *sendQueue) dropHeadLocked() {
 	q.n--
 }
 
-// pop blocks for the next entry. ok is false once the queue is closed
-// (remaining entries are abandoned — the session is over) or stop
-// closes.
-func (q *sendQueue) pop(stop <-chan struct{}) (m outMsg, ok bool) {
-	for {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return outMsg{}, false
-		}
-		if q.n > 0 {
-			m = q.buf[q.head]
-			q.buf[q.head] = outMsg{}
-			q.head = (q.head + 1) % len(q.buf)
-			q.n--
-			q.inflight++ // cleared by done() once the entry is accounted
-			q.mu.Unlock()
-			return m, true
-		}
+// popBatch drains up to cap(batch) entries into batch without
+// releasing the lock between them; they count as in flight until
+// done(n) settles them. It never blocks: an empty result means the
+// queue is empty or closed, and the calling writer must exit — running
+// is cleared under the same lock, so a push that lands after this
+// starts a fresh writer and no entry is ever stranded. Batching is what
+// turns the writer's per-packet syscall into one writev per burst:
+// under fan-out the queue holds several deliveries by the time the
+// writer runs, and popping them together costs one lock acquisition
+// instead of n.
+func (q *sendQueue) popBatch(batch []outMsg) []outMsg {
+	batch = batch[:0]
+	q.mu.Lock()
+	if q.closed || q.n == 0 {
+		q.running = false
 		q.mu.Unlock()
-		select {
-		case <-q.wake:
-		case <-stop:
-			return outMsg{}, false
-		}
+		return batch
 	}
-}
-
-// popBatch blocks for at least one entry, then drains up to cap(batch)
-// entries into batch without releasing the lock between them. The
-// entries count as in flight until done(n) settles them. ok is false
-// once the queue is closed or stop closes. Batching is what turns the
-// writer's per-packet syscall into one writev per burst: under fan-out
-// the queue holds several deliveries by the time the writer wakes, and
-// popping them together costs one lock acquisition instead of n.
-func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg) (_ []outMsg, ok bool) {
-	for {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return batch[:0], false
-		}
-		if q.n > 0 {
-			batch = batch[:0]
-			for q.n > 0 && len(batch) < cap(batch) {
-				batch = append(batch, q.buf[q.head])
-				q.buf[q.head] = outMsg{}
-				q.head = (q.head + 1) % len(q.buf)
-				q.n--
-			}
-			q.inflight += len(batch) // cleared by done() once accounted
-			q.mu.Unlock()
-			return batch, true
-		}
-		q.mu.Unlock()
-		select {
-		case <-q.wake:
-		case <-stop:
-			return batch[:0], false
-		}
+	for q.n > 0 && len(batch) < cap(batch) {
+		batch = append(batch, q.buf[q.head])
+		q.buf[q.head] = outMsg{}
+		q.head = (q.head + 1) % len(q.buf)
+		q.n--
 	}
+	q.inflight += len(batch) // cleared by done() once accounted
+	q.mu.Unlock()
+	return batch
 }
 
 // done marks n popped entries fully processed (their counters updated).
@@ -277,8 +286,8 @@ func (q *sendQueue) done(n int) {
 	q.mu.Unlock()
 }
 
-// close marks the queue dead, abandons whatever is still buffered and
-// wakes the writer so it exits. Idempotent: shutdown may run from both
+// close marks the queue dead and abandons whatever is still buffered; a
+// running writer finds it closed at its next pop and exits. Idempotent: shutdown may run from both
 // the session handler and server Close, and the abandonment accounting
 // must happen exactly once.
 func (q *sendQueue) close() {
@@ -298,10 +307,6 @@ func (q *sendQueue) close() {
 	}
 	q.head, q.n = 0, 0
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
 }
 
 // depth is the number of queued entries plus any popped entry the

@@ -63,6 +63,53 @@ func TestSendQueueDataEvictionCountsDrop(t *testing.T) {
 	}
 }
 
+// When notifications sit ahead of the oldest data entry, the eviction
+// must still take that data entry: counted as a drop, its buffer freed,
+// and the notifications kept in order. (Regression: the shift left the
+// head notification in place and evicted it, so the data entry vanished
+// uncounted, its buffer leaked and the ledger stopped balancing — every
+// further overflow repeated it.)
+func TestSendQueueEvictsDataBehindNotification(t *testing.T) {
+	pool := mbuf.NewPool()
+	pool.SetLeakCheck(true)
+	data := func(seq uint32) outMsg {
+		b := pool.Alloc(16)
+		return outMsg{kind: outData, pkt: wire.Packet{Seq: seq, Payload: b.Bytes(), Buf: b}}
+	}
+	note := func(ch radio.ChannelID) outMsg {
+		return outMsg{kind: outRadios, radios: []radio.Radio{{Channel: ch}}}
+	}
+	q := newSendQueue(4, nil, nil, nil)
+	q.push(note(1))
+	q.push(note(2))
+	q.push(data(1))
+	q.push(data(2))
+	for seq := uint32(3); seq <= 5; seq++ {
+		if !q.push(data(seq)) {
+			t.Fatalf("data %d rejected by a queue holding data", seq)
+		}
+	}
+	if got := q.drops.Load(); got != 3 {
+		t.Fatalf("drops = %d, want 3", got)
+	}
+	if live := pool.Live(); live != 2 {
+		t.Fatalf("%d live buffers, want 2 (the queued data)", live)
+	}
+	got := q.popBatch(make([]outMsg, 0, 8))
+	if len(got) != 4 ||
+		got[0].kind != outRadios || got[0].radios[0].Channel != 1 ||
+		got[1].kind != outRadios || got[1].radios[0].Channel != 2 ||
+		got[2].pkt.Seq != 4 || got[3].pkt.Seq != 5 {
+		t.Fatalf("queue after evictions: %+v, want [note1 note2 data4 data5]", got)
+	}
+	for i := range got {
+		got[i].pkt.Buf.Free()
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d buffers leaked", live)
+	}
+}
+
 // Every path an entry can die on inside the queue — evicted, pushed
 // after close, abandoned at close — must free its packet buffer.
 func TestSendQueueSettlesBuffers(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +55,65 @@ func rawSession(t *testing.T, lis *transport.InprocListener, id radio.NodeID) tr
 	return conn
 }
 
+// stallSends wraps the server's listener so that, for the VMNs in ids,
+// every server-side Send after the HelloAck blocks until the connection
+// closes. The client is wedged by construction: its writer parks in
+// Send on the first message, however much the transport would buffer.
+func stallSends(ids ...radio.NodeID) func(transport.Listener) transport.Listener {
+	return func(l transport.Listener) transport.Listener {
+		return stallListener{Listener: l, ids: ids}
+	}
+}
+
+type stallListener struct {
+	transport.Listener
+	ids []radio.NodeID
+}
+
+func (l stallListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &stallConn{Conn: c, ids: l.ids, closed: make(chan struct{})}, nil
+}
+
+// stallConn passes traffic through until the Hello names one of ids;
+// from then on Send lets only the HelloAck through.
+type stallConn struct {
+	transport.Conn
+	ids    []radio.NodeID
+	stall  atomic.Bool
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *stallConn) Recv() (wire.Msg, error) {
+	m, err := c.Conn.Recv()
+	if h, ok := m.(*wire.Hello); ok {
+		for _, id := range c.ids {
+			if h.ProposedID == id {
+				c.stall.Store(true)
+			}
+		}
+	}
+	return m, err
+}
+
+func (c *stallConn) Send(m wire.Msg) error {
+	if _, ack := m.(*wire.HelloAck); c.stall.Load() && !ack {
+		<-c.closed
+		wire.ReleaseMsg(m)
+		return transport.ErrClosed
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *stallConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
 // Deliveries to one client must arrive in schedule order. With a
 // uniform link delay the schedule order is the send order, so the
 // received Seq sequence must be strictly increasing — the old
@@ -63,12 +123,16 @@ func TestDeliveryOrderMatchesSchedule(t *testing.T) {
 }
 
 func testDeliveryOrderMatchesSchedule(t *testing.T, shards int) {
-	r := newRig(t, func(c *ServerConfig) { c.Shards = shards })
+	const n = 500
+	// The send queue holds the whole burst: this test pins ordering, and
+	// the burst fires faster than a slow (e.g. race-instrumented) writer
+	// drains, which would otherwise let drop-oldest discard part of it.
+	// Drops under overload are TestSlowClientDoesNotStallOthers' subject.
+	r := newRig(t, func(c *ServerConfig) { c.Shards = shards; c.SendQueueDepth = n })
 	r.scene.SetLinkModel(1, uniformModel(time.Millisecond))
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
 	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
 
-	const n = 500
 	var mu sync.Mutex
 	var got []uint32
 	all := make(chan struct{})
@@ -119,13 +183,13 @@ func TestSlowClientDoesNotStallOthers(t *testing.T) {
 }
 
 func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
-	r := newRig(t, func(c *ServerConfig) { c.SendQueueDepth = 8; c.Shards = shards })
+	r := newRigServing(t, func(c *ServerConfig) { c.SendQueueDepth = 8; c.Shards = shards }, stallSends(2))
 	r.scene.SetLinkModel(1, uniformModel(0))
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
 	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
 	r.scene.AddNode(3, geom.V(0, 50), oneRadio(1, 200))
 
-	rawSession(t, r.lis, 2) // VMN2 never reads
+	rawSession(t, r.lis, 2) // VMN2 never reads, and its server-side Send blocks
 	sk := newSink()
 	c3, err := Dial(ClientConfig{ID: 3, Dial: r.lis.Dialer(), LocalClock: r.clk, OnPacket: sk.on})
 	if err != nil {
@@ -134,14 +198,15 @@ func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
 	defer c3.Close()
 	c1 := r.client(1, nil)
 
-	// Flood the wedged client far past its transport buffer plus queue
-	// depth so the drop-oldest policy must engage.
+	// Flood the wedged client far past its queue depth so the
+	// drop-oldest policy must engage.
 	const flood = 900
 	for i := 1; i <= flood; i++ {
 		if err := c1.Send(wire.Packet{Dst: 2, Channel: 1, Seq: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	fedWaitFor(t, func() bool { return r.server.Stats().Received == flood }, "the flood to be ingested")
 	deadline := time.Now().Add(10 * time.Second)
 	for r.server.Stats().QueueDrops == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -168,10 +233,10 @@ func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
 	if rs := c3.Radios(); len(rs) != 1 || rs[0].Channel != 7 {
 		t.Fatalf("healthy client starved of radios event: %v", rs)
 	}
-	// Let the scanner fire the whole flood before sampling: mid-flood
-	// the writer can transiently drain the queue into the transport
-	// buffer, but once every delivery has fired the wedged session's
-	// queue is pinned full (writer blocked, drop-oldest engaged).
+	// Let the scanner fire every delivery before sampling. Received
+	// commits after ingest has scheduled a packet, so once it counts
+	// every packet sent, an empty schedule means everything has fired.
+	fedWaitFor(t, func() bool { return r.server.Stats().Received == flood+1 }, "every packet to be ingested")
 	drainDeadline := time.Now().Add(10 * time.Second)
 	for r.server.Stats().Scheduled > 0 && time.Now().Before(drainDeadline) {
 		time.Sleep(time.Millisecond)
@@ -206,11 +271,11 @@ func TestGoroutineCountBounded(t *testing.T) {
 }
 
 func testGoroutineCountBounded(t *testing.T, shards int) {
-	r := newRig(t, func(c *ServerConfig) { c.SendQueueDepth = 16; c.Shards = shards })
+	r := newRigServing(t, func(c *ServerConfig) { c.SendQueueDepth = 16; c.Shards = shards }, stallSends(2))
 	r.scene.SetLinkModel(1, uniformModel(0))
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
 	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
-	rawSession(t, r.lis, 2) // never reads
+	rawSession(t, r.lis, 2) // never reads; its server-side Send blocks
 	c1 := r.client(1, nil)
 
 	before := runtime.NumGoroutine()
@@ -220,7 +285,9 @@ func testGoroutineCountBounded(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 	}
-	// Wait until the schedule has fired everything at the sessions.
+	// Wait until the schedule has fired everything at the sessions:
+	// every packet ingested (so scheduled), then the schedule empty.
+	fedWaitFor(t, func() bool { return r.server.Stats().Received == flood }, "the flood to be ingested")
 	deadline := time.Now().Add(10 * time.Second)
 	for r.server.Stats().Scheduled > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -229,13 +296,13 @@ func testGoroutineCountBounded(t *testing.T, shards int) {
 		t.Fatalf("schedule never drained: %d pending", sch)
 	}
 	after := runtime.NumGoroutine()
-	// One writer per session plus scanner/ticker noise; the old path
-	// would sit at ~flood-minus-transport-buffer extra goroutines here.
+	// At most one writer per session plus scanner/ticker noise; the old
+	// path would sit at ~flood extra goroutines here.
 	if grew := after - before; grew > 50 {
 		t.Fatalf("goroutine count grew by %d under load (before %d, after %d)", grew, before, after)
 	}
 	if drops := r.server.Stats().QueueDrops; drops == 0 {
-		t.Error("flood did not exercise the drop path")
+		t.Errorf("flood did not exercise the drop path: %+v", r.server.Stats())
 	}
 }
 

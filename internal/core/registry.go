@@ -6,8 +6,10 @@ package core
 //
 // Lock ordering (the only place two locks nest): Server.mu is acquired
 // BEFORE shard.mu, never the other way around. Server.mu orders
-// registration against Close (the closed flag and the writer
-// WaitGroup); the shard lock guards only that shard's session map.
+// registration against Close (the closed flag); the shard lock guards
+// only that shard's session map. Writers join the server WaitGroup
+// under their send queue's lock, which Close orders by closing every
+// queue before it waits.
 // Everything that aggregates across shards — Stats, SessionStats, the
 // poem_clients gauge, Quiesce — takes one shard lock at a time and
 // never holds two together, so a scrape can never convoy every shard
@@ -17,61 +19,35 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
-	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // session is one connected emulation client. All traffic toward the
-// client funnels through q, drained by a single writer goroutine
-// (sessionWriter), so deliveries and scene notifications leave in
-// order and a stalled client blocks only its own writer.
+// client funnels through q, drained by at most one writer goroutine at
+// a time (sessionWriter, started on demand), so deliveries and scene
+// notifications leave in order and a stalled client blocks only its own
+// writer. An idle session holds no writer and no scratch: ingest and
+// the writer take their working buffers from pools per call.
 type session struct {
 	id   radio.NodeID
 	conn transport.Conn
 	rng  *rand.Rand // scheduling-thread die, per session
 
-	q        *sendQueue    // bounded outbound queue, FIFO
-	stop     chan struct{} // closed when the session ends
-	stopOnce sync.Once
-
-	// kept is ingest's scratch buffer for the surviving targets of one
-	// packet, reused across packets so the steady-state forwarding path
-	// performs no per-packet allocation. Only the session's own reader
-	// goroutine touches it.
-	kept []keptTarget
-	// items, group and shardIdx are ingest's scratch for coalescing one
-	// packet's scheduled deliveries into per-destination-shard batches
-	// (pushItems): items collects the built schedule entries, shardIdx
-	// their shard assignments, group the slice handed to one shard.
-	// Same reader-goroutine confinement as kept.
-	items    []sched.Item
-	group    []sched.Item
-	shardIdx []int32
-	// wmsgs is the writer's scratch for assembling one flush batch into
-	// wire messages (writeBatch). Only the session's writer goroutine
-	// touches it.
-	wmsgs []wire.Msg
+	q *sendQueue // bounded outbound queue, FIFO
 
 	received  atomic.Uint64 // packets this client sent us
 	forwarded atomic.Uint64 // packets we delivered to this client
 
 	// obsTick is the sampling countdown for stage timing/tracing. Only
-	// the session's own reader goroutine touches it (same confinement as
-	// kept), so the gate costs no contended atomic on the hot path.
+	// the session's own reader goroutine touches it, so the gate costs
+	// no contended atomic on the hot path.
 	obsTick uint32
-
-	// peerIdx is the federation routing scratch: one owning-peer index
-	// per item of a packet's delivery list (cluster.routeRemote). Same
-	// reader-goroutine confinement as kept; unused on unclustered
-	// servers.
-	peerIdx []int32
 }
 
 // keptTarget is one link-model survivor of a dispatch: the receiver and
@@ -80,12 +56,6 @@ type keptTarget struct {
 	to    radio.NodeID
 	delay time.Duration
 	tx    time.Duration
-}
-
-// shutdown ends the session's writer. Safe to call more than once.
-func (sess *session) shutdown() {
-	sess.stopOnce.Do(func() { close(sess.stop) })
-	sess.q.close()
 }
 
 // handle runs one inbound connection: a client session from Hello to
@@ -111,7 +81,7 @@ func (s *Server) handle(conn transport.Conn) {
 		return
 	}
 	defer func() {
-		sess.shutdown()
+		sess.q.close()
 		s.shardOf(sess.id).reap(sess)
 	}()
 	for {
@@ -177,8 +147,9 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 		conn: conn,
 		rng:  rand.New(rand.NewSource(s.cfg.Seed ^ int64(id)<<17 ^ 0x9e3779b9)),
 		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned, s.tracer),
-		stop: make(chan struct{}),
 	}
+	sess.q.wg = &s.wg
+	sess.q.writer = func() { s.sessionWriter(sess) }
 	if s.fid != nil {
 		// Timestamp policy drops into the flight recorder: around an
 		// incident, which sessions were shedding (and when) is exactly
@@ -211,24 +182,19 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	if err := conn.Send(&wire.HelloAck{Assigned: id, ServerNow: s.cfg.Clock.Now()}); err != nil {
 		// The slot is released only if it is still ours: the client may
 		// already have given up and reconnected, and that fresh session
-		// must not be evicted by our stale cleanup.
+		// must not be evicted by our stale cleanup. Closing the queue
+		// settles anything a delivery pushed meanwhile.
+		sess.q.close()
 		sh.reap(sess)
 		return nil, err
 	}
-	// The writer starts only after the HelloAck is on the wire — the
+	// Writers may start only now that the HelloAck is on the wire — the
 	// client's Dial expects it as the first reply, before any queued
-	// event. wg.Add must not race Close's wg.Wait; both are ordered by
-	// s.mu and the closed flag (Close, once it holds the lock with
-	// closed set, has already collected this session for conn.Close).
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		sess.shutdown()
+	// event. A closed queue here means Close already collected this
+	// session.
+	if !sess.q.openGate() {
 		return nil, errors.New("core: server closed")
 	}
-	s.wg.Add(1)
-	go s.sessionWriter(sess)
-	s.mu.Unlock()
 	// Tell the client its current radio set, through the queue so a
 	// concurrent live change cannot overtake it. The scene is read
 	// *after* the session is visible to the event subscription: any

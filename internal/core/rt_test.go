@@ -102,7 +102,7 @@ func testFidelityWiring(t *testing.T, shards int) {
 		t.Fatalf("/healthz: %d (state %v)", rec.Code, fid.State())
 	}
 	var health struct {
-		State  string             `json:"state"`
+		State  string              `json:"state"`
 		Shards []fidelity.Snapshot `json:"shards"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {

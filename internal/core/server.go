@@ -22,10 +22,11 @@
 //     pipelines; sessions are hashed onto shards by VMN id, see
 //     shard.go)
 //  5. each shard's scanning goroutine watches its own schedule
-//  6. a sending goroutine ships the packet at t_forward — here one
-//     dedicated writer per session draining a bounded FIFO queue, so
-//     deliveries to a client leave in schedule order and a slow client
-//     backpressures only itself (see sessionWriter / sendQueue)
+//  6. a sending goroutine ships the packet at t_forward — here a
+//     per-session writer, started on demand, draining a bounded FIFO
+//     queue; at most one runs per session, so deliveries to a client
+//     leave in schedule order and a slow client backpressures only
+//     itself (see sessionWriter / sendQueue)
 //  7. recording goroutines log every packet and scene change
 //
 // The implementation is split by pipeline role: shard.go (the per-shard
@@ -83,11 +84,11 @@ type ServerConfig struct {
 	// behaviour is §7 future work); this switch is that extension.
 	SerializeChannels bool
 	// SendQueueDepth bounds each session's outbound delivery queue.
-	// Deliveries to a client leave through one writer goroutine in
-	// schedule order; when a slow client lets its queue fill, the
-	// oldest queued packet is discarded (counted in QueueDrops) so the
-	// backpressure never reaches other sessions or the scanner. Zero
-	// means DefaultSendQueueDepth.
+	// Deliveries to a client leave through at most one writer
+	// goroutine at a time, in schedule order; when a slow client lets
+	// its queue fill, the oldest queued packet is discarded (counted in
+	// QueueDrops) so the backpressure never reaches other sessions or
+	// the scanner. Zero means DefaultSendQueueDepth.
 	SendQueueDepth int
 	// MaxStampSkew caps how far into the future a client's parallel
 	// timestamp may run ahead of the server clock. A client with a
@@ -228,6 +229,8 @@ type Server struct {
 	// (guarded by chanMu; see pruneChanFreeLocked).
 	chanFreeSweep int
 
+	scratch scratchCache // ingest working memory, lent per call
+
 	// Observability. The counters live on the registry (exported through
 	// Stats and /metrics); the histograms and tracer record only sampled
 	// packets, gated by sampleEvery (one atomic load on the unsampled
@@ -327,6 +330,7 @@ func newServer(cfg ServerConfig, newQueue func() sched.Queue) (*Server, error) {
 		cfg:           cfg,
 		chanFree:      make(map[radio.ChannelID]vclock.Time),
 		chanFreeSweep: chanFreeMinSweep,
+		scratch:       newScratchCache(),
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -347,8 +351,8 @@ func newServer(cfg ServerConfig, newQueue func() sched.Queue) (*Server, error) {
 	// Push radio changes to the affected client so its protocol learns
 	// about channel switches made on the server GUI. The notification
 	// rides the session's own outbound queue: the scene emits events in
-	// order and the per-session writer drains FIFO, so a client
-	// observes its scene changes in the order they happened — and a
+	// order and the session's writer drains FIFO, so a client observes
+	// its scene changes in the order they happened — and a
 	// wedged client delays only its own notifications, never another
 	// session's (the old shared dispatch goroutine stalled everyone).
 	cfg.Scene.Subscribe(func(e scene.Event) {

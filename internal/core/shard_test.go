@@ -94,9 +94,9 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 	for id := radio.NodeID(1); id <= 32; id++ {
 		items = append(items, sched.Item{Due: due, To: id})
 	}
-	sess := &session{}
-	sess.items = append(sess.items, items...)
-	srv.pushItems(sess, sess.items)
+	scr := &ingestScratch{}
+	scr.items = append(scr.items, items...)
+	srv.pushItems(scr, scr.items)
 
 	if got := srv.mEntered.Load(); got != uint64(len(items)) {
 		t.Errorf("mEntered = %d, want %d", got, len(items))
@@ -127,15 +127,20 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 	}
 	// The scratch must not keep packet references once the schedule owns
 	// the copies.
-	for i, it := range sess.items {
+	for i, it := range scr.items {
 		if it.To != 0 || it.Due != 0 || it.Pkt.Buf != nil {
 			t.Fatalf("scratch item %d not cleared: %+v", i, it)
 		}
 	}
+	for i, it := range scr.group[:cap(scr.group)] {
+		if it.To != 0 || it.Due != 0 || it.Pkt.Buf != nil {
+			t.Fatalf("group scratch slot %d not cleared: %+v", i, it)
+		}
+	}
 
 	// The single-target fast path still routes and counts correctly.
-	sess.items = append(sess.items[:0], sched.Item{Due: due, To: 9})
-	srv.pushItems(sess, sess.items)
+	scr.items = append(scr.items[:0], sched.Item{Due: due, To: 9})
+	srv.pushItems(scr, scr.items)
 	sh := srv.shardOf(9)
 	fired := 0
 	sh.scanner.Drain(func(it sched.Item) {

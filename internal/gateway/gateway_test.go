@@ -348,6 +348,20 @@ func TestGatewayLoopback(t *testing.T) {
 	if !srv.Quiesce(10 * time.Second) {
 		t.Fatalf("pipeline did not quiesce: %+v", srv.Stats())
 	}
+	// The egress writer counts a datagram once its socket write has
+	// returned, so the last one can reach sockA just before it is
+	// counted: give the egress ledgers a bounded moment to close.
+	egressClosed := func() bool {
+		for _, st := range gw.Stats() {
+			if st.Delivered != st.Written+st.EgressDropped+st.Late+st.NoPeer+st.WriteErr+st.Abandoned {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !egressClosed() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	for i, st := range gw.Stats() {
 		if st.Ingress != st.Accepted+st.Shed+st.BadFrame+st.Oversize+st.SendErr {
 			t.Errorf("link %d ingress ledger open: %+v", i, st)
@@ -357,6 +371,13 @@ func TestGatewayLoopback(t *testing.T) {
 		}
 	}
 	gw.Close()
+	// A server session reader drops its own reference to an ingress
+	// buffer only after ingest returns, and the delivery that ingest
+	// scheduled can reach sockA first: allow that release a bounded
+	// moment before counting.
+	for deadline := time.Now().Add(5 * time.Second); gw.Pool().Live() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if live := gw.Pool().Live(); live != 0 {
 		t.Errorf("%d gateway buffers live after close", live)
 	}

@@ -28,6 +28,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,7 +80,7 @@ func Parse(r io.Reader) (*Script, error) {
 			}
 			var c [4]float64
 			for i := 0; i < 4; i++ {
-				v, err := strconv.ParseFloat(fields[i+1], 64)
+				v, err := parseFinite(fields[i+1])
 				if err != nil {
 					return nil, errAt(line, "bad coordinate %q", fields[i+1])
 				}
@@ -200,7 +201,7 @@ func (s *Script) parseCommand(line int, at vclock.Time, fields []string) (Step, 
 		if err != nil {
 			return step, errAt(line, "%v", err)
 		}
-		r, err := strconv.ParseFloat(args[2], 64)
+		r, err := parseFinite(args[2])
 		if err != nil || r < 0 {
 			return step, errAt(line, "bad range %q", args[2])
 		}
@@ -266,12 +267,27 @@ func arg0(args []string) string {
 	return args[0]
 }
 
+// parseID reads a node id. The broadcast address is not a node: a VMN
+// created under it could never be addressed on its own.
 func parseID(s string) (radio.NodeID, error) {
 	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
+	if err != nil || radio.NodeID(v) == radio.Broadcast {
 		return 0, fmt.Errorf("bad node id %q", s)
 	}
 	return radio.NodeID(v), nil
+}
+
+// parseFinite reads a float and rejects NaN and ±Inf, which pass every
+// ordered comparison a caller might range-check with (NaN < 0 is false).
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, nil
 }
 
 func parseChannel(s string) (radio.ChannelID, error) {
@@ -290,8 +306,8 @@ func parsePoint(s string) (geom.Vec2, error) {
 	if len(parts) != 2 {
 		return geom.Vec2{}, fmt.Errorf("bad point %q (want x,y)", s)
 	}
-	x, err1 := strconv.ParseFloat(parts[0], 64)
-	y, err2 := strconv.ParseFloat(parts[1], 64)
+	x, err1 := parseFinite(parts[0])
+	y, err2 := parseFinite(parts[1])
 	if err1 != nil || err2 != nil {
 		return geom.Vec2{}, fmt.Errorf("bad point %q", s)
 	}
@@ -317,7 +333,7 @@ func parseRadios(fields []string) ([]radio.Radio, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := strconv.ParseFloat(m["range"], 64)
+		r, err := parseFinite(m["range"])
 		if err != nil || r < 0 {
 			return nil, fmt.Errorf("bad radio range %q", m["range"])
 		}

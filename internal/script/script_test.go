@@ -141,13 +141,24 @@ func TestParseErrors(t *testing.T) {
 		{"at 0s frobnicate 1", "unknown operation"},
 		{"at 0s add 1", "add wants"},
 		{"at 0s add x pos 0,0", "bad node id"},
+		{"at 0s add 4294967295 pos 0,0", "bad node id"},
+		{"at 0s move 4294967295 to 0,0", "bad node id"},
 		{"at 0s add 1 pos 0", "bad point"},
+		{"at 0s add 1 pos NaN,0", "bad point"},
+		{"at 0s add 1 pos 0,+Inf", "bad point"},
+		{"at 0s move 1 to -Inf,5", "bad point"},
+		{"region 0 0 NaN 10", "bad coordinate"},
 		{"at 0s add 1 pos 0,0 radio ch=1", "radio wants"},
 		{"at 0s add 1 pos 0,0 radio ch=x range=5", "bad channel"},
 		{"at 0s add 1 pos 0,0 radio ch=1 range=-5", "bad radio range"},
+		{"at 0s add 1 pos 0,0 radio ch=1 range=NaN", "bad radio range"},
+		{"at 0s add 1 pos 0,0 radio ch=1 range=+Inf", "bad radio range"},
+		{"at 0s radios 1 radio ch=1 range=Inf", "bad radio range"},
 		{"at 0s add 1 pos 0,0 sideways ch=1 range=5", "expected 'radio'"},
 		{"at 0s move 1 2,2", "move wants"},
 		{"at 0s range 1 ch=1 nope", "bad range"},
+		{"at 0s range 1 ch=1 NaN", "bad range"},
+		{"at 0s range 1 ch=1 +Inf", "bad range"},
 		{"at 0s range 1 xx=1 5", "missing ch="},
 		{"at 0s mobility 1", "mobility wants"},
 		{"at 0s mobility 1 teleport", "unknown mobility model"},

@@ -76,11 +76,10 @@ type Dialer func() (Conn, error)
 type tcpConn struct {
 	c     net.Conn
 	br    *bufio.Reader
-	bw    *bufio.Writer
 	pool  *mbuf.Pool  // non-nil: frames are read into pooled buffers
 	local *mbuf.Local // reader-owned allocation cache, built lazily
 
-	mu   sync.Mutex // guards bw, the scratch buffers, and write ordering
+	mu   sync.Mutex // guards the scratch buffers and write ordering
 	wbuf []byte     // serialization scratch, reused across sends
 	iov  net.Buffers
 }
@@ -94,7 +93,6 @@ func newTCPConn(c net.Conn, pool *mbuf.Pool) *tcpConn {
 	return &tcpConn{
 		c:    c,
 		br:   bufio.NewReaderSize(c, 64<<10),
-		bw:   bufio.NewWriterSize(c, 64<<10),
 		pool: pool,
 	}
 }
@@ -104,9 +102,9 @@ func (t *tcpConn) Send(m wire.Msg) error {
 	b, err := wire.AppendFrame(t.wbuf[:0], m)
 	t.wbuf = b
 	if err == nil {
-		if _, err = t.bw.Write(b); err == nil {
-			err = t.bw.Flush()
-		}
+		// The frame is already contiguous in wbuf: one write, no
+		// intermediate buffer.
+		_, err = t.c.Write(b)
 	}
 	t.mu.Unlock()
 	wire.ReleaseMsg(m) // Send consumes pooled messages, success or not
@@ -149,12 +147,7 @@ func (t *tcpConn) SendBatch(ms []wire.Msg) (int, error) {
 		if seg < len(scratch) {
 			iov = append(iov, scratch[seg:])
 		}
-		// bw is empty between sends (Send always flushes); flush anyway
-		// so vectored bytes can never overtake buffered ones.
-		if err = t.bw.Flush(); err == nil {
-			_, err = iov.WriteTo(t.c)
-		}
-		if err == nil {
+		if _, err = iov.WriteTo(t.c); err == nil {
 			sent = len(ms)
 		}
 	}
@@ -251,19 +244,23 @@ func TCPDialer(addr string) Dialer {
 // ---------------------------------------------------------------------------
 // In-process transport
 
+// pipeDepth bounds one direction of an in-process pipe: send blocks
+// while this many messages wait, the in-process stand-in for a full TCP
+// socket buffer.
 const pipeDepth = 512
 
 // pipeQueue is one direction of an in-process pipe: a bounded FIFO ring
-// under a mutex. A mutex (rather than a buffered channel) makes the
-// closed-check and the enqueue one atomic step — with two channels in a
-// select, Go may pick the enqueue even when done is also ready, letting
-// a message slip in after the receiver already drained and reported
-// EOF. That stranded message would read as a leak to the mbuf
+// under a mutex. The ring grows on demand up to pipeDepth, so an idle
+// pipe costs a few words rather than the full bound. A mutex (rather
+// than a buffered channel) makes the closed-check and the enqueue one
+// atomic step — with two channels in a select, Go may pick the enqueue
+// even when done is also ready, letting a message slip in after the
+// receiver already drained and reported EOF. That stranded message would read as a leak to the mbuf
 // accounting the chaos harness asserts on.
 type pipeQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	ring   [pipeDepth]wire.Msg
+	ring   []wire.Msg
 	head   int // next slot to pop
 	n      int // occupied slots
 	closed bool
@@ -286,11 +283,31 @@ func (q *pipeQueue) send(m wire.Msg) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.ring[(q.head+q.n)%pipeDepth] = m
+	if q.n == len(q.ring) {
+		q.growLocked()
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = m
 	q.n++
 	q.mu.Unlock()
 	q.cond.Broadcast()
 	return true
+}
+
+// growLocked doubles the ring (from 16, capped at pipeDepth), moving
+// the queued messages to its front in FIFO order.
+func (q *pipeQueue) growLocked() {
+	size := 2 * len(q.ring)
+	if size == 0 {
+		size = 16
+	}
+	if size > pipeDepth {
+		size = pipeDepth
+	}
+	ring := make([]wire.Msg, size)
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[(q.head+i)%len(q.ring)]
+	}
+	q.ring, q.head = ring, 0
 }
 
 // recv dequeues the next message, blocking while the ring is empty.
@@ -308,7 +325,7 @@ func (q *pipeQueue) recv() (wire.Msg, bool) {
 	}
 	m := q.ring[q.head]
 	q.ring[q.head] = nil
-	q.head = (q.head + 1) % pipeDepth
+	q.head = (q.head + 1) % len(q.ring)
 	q.n--
 	q.mu.Unlock()
 	q.cond.Broadcast()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -408,4 +409,104 @@ func BenchmarkTransports(b *testing.B) {
 		<-accepted
 		bench(b, client, server)
 	})
+}
+
+// The pipe ring grows on demand. Interleaving sends and receives keeps
+// the head moving, so every growth step copies a wrapped ring; FIFO
+// must hold across all of them, and the ring must stop at pipeDepth.
+func TestPipeQueueGrowsPreservingFIFO(t *testing.T) {
+	q := newPipeQueue()
+	if len(q.ring) != 0 {
+		t.Fatalf("fresh pipe ring holds %d slots, want 0", len(q.ring))
+	}
+	next, want := 0, 0
+	recv := func() {
+		t.Helper()
+		m, ok := q.recv()
+		if !ok {
+			t.Fatal("recv on an open pipe failed")
+		}
+		if got := int(m.(*wire.SyncReq).TC1); got != want {
+			t.Fatalf("recv %d, want %d (ring %d slots, head %d)", got, want, len(q.ring), q.head)
+		}
+		want++
+	}
+	// Net growth of 3 per round walks the backlog up to a full ring.
+	for len(q.ring) < pipeDepth {
+		for i := 0; i < 7; i++ {
+			if !q.send(&wire.SyncReq{TC1: vclock.Time(next)}) {
+				t.Fatal("send on an open pipe failed")
+			}
+			next++
+		}
+		for i := 0; i < 4; i++ {
+			recv()
+		}
+	}
+	for q.n > 0 {
+		recv()
+	}
+	if len(q.ring) != pipeDepth || want != next {
+		t.Fatalf("ring %d slots, received %d of %d", len(q.ring), want, next)
+	}
+}
+
+// send still blocks once pipeDepth messages wait, and resumes when the
+// receiver takes one.
+func TestPipeQueueSendBlocksAtDepth(t *testing.T) {
+	q := newPipeQueue()
+	for i := 0; i < pipeDepth; i++ {
+		q.send(&wire.SyncReq{TC1: vclock.Time(i)})
+	}
+	sent := make(chan bool)
+	go func() { sent <- q.send(&wire.SyncReq{TC1: pipeDepth}) }()
+	select {
+	case <-sent:
+		t.Fatal("send past pipeDepth did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if m, ok := q.recv(); !ok || m.(*wire.SyncReq).TC1 != 0 {
+		t.Fatalf("recv = %v, %v; want the oldest message", m, ok)
+	}
+	if !<-sent {
+		t.Fatal("blocked send failed once space freed")
+	}
+	if q.n != pipeDepth || len(q.ring) != pipeDepth {
+		t.Fatalf("n=%d ring=%d, want both at pipeDepth", q.n, len(q.ring))
+	}
+}
+
+// Close semantics are unchanged by the growable ring: a blocked sender
+// fails, queued messages stay readable, then recv reports closed, and
+// later sends fail.
+func TestPipeQueueCloseSemantics(t *testing.T) {
+	q := newPipeQueue()
+	for i := 0; i < pipeDepth; i++ {
+		q.send(&wire.SyncReq{TC1: vclock.Time(i)})
+	}
+	blocked := make(chan bool)
+	go func() { blocked <- q.send(&wire.SyncReq{}) }()
+	time.Sleep(5 * time.Millisecond)
+	q.close()
+	if <-blocked {
+		t.Fatal("a send blocked across close succeeded")
+	}
+	for i := 0; i < pipeDepth; i++ {
+		m, ok := q.recv()
+		if !ok || int(m.(*wire.SyncReq).TC1) != i {
+			t.Fatalf("drain after close: recv %d = %v, %v", i, m, ok)
+		}
+	}
+	if _, ok := q.recv(); ok {
+		t.Fatal("recv on a closed, drained pipe succeeded")
+	}
+	if q.send(&wire.SyncReq{}) {
+		t.Fatal("send after close succeeded")
+	}
+	// A pipe closed before it ever grew drains to closed at once.
+	q2 := newPipeQueue()
+	q2.close()
+	if _, ok := q2.recv(); ok || q2.send(&wire.SyncReq{}) {
+		t.Fatal("a never-used closed pipe accepted traffic")
+	}
 }

@@ -54,7 +54,8 @@ func main() {
 		maxSkew = flag.Duration("maxskew", core.DefaultMaxStampSkew,
 			"clamp client stamps to now+maxskew (negative to disable)")
 		debugAddr = flag.String("debug", "",
-			"HTTP debug listen address serving /metrics, /trace and /debug/pprof (empty to disable)")
+			"HTTP debug listen address serving /metrics, /trace (the flight recorder as chrome://tracing JSON: "+
+				"incidents plus sampled packet lifecycles), /healthz, /fidelity/dump and /debug/pprof (empty to disable)")
 		sampleEvery = flag.Int("obs-sample", 0,
 			"time+trace one packet in N per session (0 = default, negative = off)")
 		shards = flag.Int("shards", 0,
@@ -89,12 +90,11 @@ func main() {
 	sc := scene.New(radio.NewIndexed(250), clk, *seed)
 	store := record.NewStore()
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(0, 0)
 	srv, err := core.NewServer(core.ServerConfig{
 		Clock: clk, Scene: sc, Store: store,
 		Seed: *seed, TickStep: *tick, AutoCreateNodes: *autoCreate,
 		SendQueueDepth: *sendQueue, MaxStampSkew: *maxSkew,
-		Obs: reg, Tracer: tracer, ObsSampleEvery: *sampleEvery,
+		Obs: reg, ObsSampleEvery: *sampleEvery,
 		Shards: *shards, RTTolerance: *rtTolerance,
 		Peers: peers, Self: *peerSelf, ClusterID: *clusterID, Coordinator: *coordinator,
 	})
@@ -193,7 +193,8 @@ func main() {
 		log.Printf("poemd: gateway bridging %d real sockets (map %s)", len(bindings), *gatewayMap)
 	}
 
-	// The debug endpoint's scrape handlers read the registry and tracer;
+	// The debug endpoint's scrape handlers read the registry and the
+	// flight recorder;
 	// serveDone gates them so a late scrape answers 503 instead of racing
 	// the store/WAL teardown below.
 	var dbg *obs.DebugServer
@@ -202,15 +203,14 @@ func main() {
 		if fid := srv.Fidelity(); fid != nil {
 			extras = append(extras,
 				obs.Endpoint{Pattern: "/healthz", H: fid.HealthHandler()},
-				obs.Endpoint{Pattern: "/fidelity/trace", H: fid.TraceHandler()},
 				obs.Endpoint{Pattern: "/fidelity/dump", H: fid.DumpHandler()},
 			)
 		}
-		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, tracer, serveDone, extras...))
+		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, srv.Recorder(), serveDone, extras...))
 		if err != nil {
 			log.Fatalf("poemd: debug: %v", err)
 		}
-		log.Printf("poemd: debug on http://%s (/metrics /trace /healthz /fidelity/{trace,dump} /debug/pprof)", dbg.Addr())
+		log.Printf("poemd: debug on http://%s (/metrics /trace /healthz /fidelity/dump /debug/pprof; /trace loads in Perfetto)", dbg.Addr())
 	}
 
 	var ctrl *control.Server

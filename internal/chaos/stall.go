@@ -329,9 +329,9 @@ func RunStall(cfg StallConfig) StallReport {
 		var transitions, fires int
 		for _, ev := range rep.Dump.Events {
 			switch ev.Kind {
-			case fidelity.EvStateTransition:
+			case obs.EvStateTransition:
 				transitions++
-			case fidelity.EvBatchFire:
+			case obs.EvBatchFire:
 				fires++
 			}
 		}

@@ -262,12 +262,9 @@ func (cl *cluster) routeRemote(sc *ingestScratch, items []sched.Item) []sched.It
 			if idxs[j] != p {
 				continue
 			}
+			// Trace ids don't cross trunks: a sampled packet whose first
+			// kept target lives remotely leaves a partial trace.
 			it := &items[j]
-			if it.Trace != 0 {
-				// Trace slots don't cross trunks; a sampled packet whose
-				// first kept target lives remotely gives its slot back.
-				cl.srv.tracer.Release(it.Trace)
-			}
 			tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: it.Due, To: it.To, Pkt: it.Pkt})
 			idxs[j] = -1
 		}

@@ -29,7 +29,7 @@ import (
 // There is deliberately no server-closed check here: Close shuts the
 // sessions down before stopping the shard scanners, and a delivery
 // into a closed (or missing) session accounts itself abandoned — the
-// closed sendQueue rejects the push and settles the trace slot and the
+// closed sendQueue rejects the push and settles the buffer and the
 // abandoned counter itself. Keeping the front's mutex off this path is
 // what lets N scanners run without sharing a lock.
 func (sh *shard) deliver(it sched.Item) {
@@ -39,9 +39,6 @@ func (sh *shard) deliver(it sched.Item) {
 	}
 	sess := sh.lookup(it.To)
 	if sess == nil {
-		if it.Trace != 0 {
-			s.tracer.Release(it.Trace)
-		}
 		it.Pkt.Buf.Free() // this delivery's buffer reference dies with it
 		s.mAbandoned.Inc()
 		return // the client left between scheduling and departure
@@ -56,8 +53,7 @@ func (sh *shard) deliver(it sched.Item) {
 		runtime.Gosched()
 	}
 	// A traced item marks a sampled packet: time the enqueue stage and
-	// record how far past its due time the departure fired. If push
-	// rejects the entry, the queue releases the trace slot itself.
+	// record how far past its due time the departure fired.
 	var t0 time.Time
 	if it.Trace != 0 {
 		t0 = time.Now()
@@ -71,7 +67,8 @@ func (sh *shard) deliver(it sched.Item) {
 			lag = 0
 		}
 		s.hDeliverLag.Observe(lag)
-		s.tracer.Rec(it.Trace).Enqueue = int64(nowEmu)
+		s.ring.TraceEnqueue(it.Trace, sh.idx, int64(nowEmu),
+			uint16(it.Pkt.Channel), it.Pkt.Flow, it.Pkt.Seq)
 	}
 	sess.q.push(outMsg{kind: outData, pkt: it.Pkt, trace: it.Trace})
 	if it.Trace != 0 {
@@ -202,19 +199,13 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, sc *writerScratch) er
 		if i >= sent {
 			// Died between pop and wire: the transport already released
 			// the buffer, the ledger still needs the loss recorded.
-			if m.trace != 0 {
-				s.tracer.Release(m.trace)
-			}
 			s.mAbandoned.Inc()
 			continue
 		}
 		if m.trace != 0 {
-			// Final stage: the packet is on the wire. Stamp it, name
-			// the concrete receiver, and commit the record.
-			rec := s.tracer.Rec(m.trace)
-			rec.Send = int64(s.cfg.Clock.Now())
-			rec.Relay = uint32(sess.id)
-			s.tracer.Commit(m.trace)
+			// Final stage: the packet is on the wire, to this receiver.
+			s.ring.TraceSend(m.trace, ShardIndex(sess.id, len(s.shards)),
+				int64(s.cfg.Clock.Now()), uint32(sess.id), uint32(m.pkt.Size()))
 		}
 		s.mForwarded.Inc()
 		sess.forwarded.Add(1)

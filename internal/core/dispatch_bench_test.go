@@ -62,7 +62,7 @@ func benchSession(id radio.NodeID, srv *Server) *session {
 	return &session{
 		id:  id,
 		rng: rand.New(rand.NewSource(int64(id) + 1)),
-		q:   newSendQueue(0, srv.mQueueDrops, srv.mAbandoned, srv.tracer),
+		q:   newSendQueue(0, srv, id),
 	}
 }
 
@@ -106,22 +106,39 @@ func BenchmarkDispatchParallel(b *testing.B) {
 // TestIngestSteadyStateAllocFree pins the acceptance criterion: on the
 // steady-state forwarding path (recording off, schedule warm) ingest
 // performs zero heap allocations for the neighbor/model lookup and
-// target selection.
+// target selection — at the default sampling rate and with every packet
+// sampled, stage-timed and traced into the flight recorder.
 func TestIngestSteadyStateAllocFree(t *testing.T) {
-	srv := newDispatchBench(t, 16, 1)
-	sess := benchSession(3, srv)
-	pkt := wire.Packet{
-		Src: 3, Dst: radio.Broadcast, Channel: 1,
-		Stamp: vclock.FromSeconds(100), Payload: make([]byte, 64),
-	}
-	srv.ingest(sess, pkt) // warm the scratch buffer
-	allocs := testing.AllocsPerRun(500, func() {
-		srv.ingest(sess, pkt)
-	})
-	if allocs != 0 {
-		t.Errorf("ingest allocates %v per packet on the steady state, want 0", allocs)
-	}
-	if srv.Stats().Received == 0 {
-		t.Fatal("ingest did not run")
+	for _, arm := range []struct {
+		name        string
+		sampleEvery uint32
+	}{
+		{"default", DefaultObsSampleEvery},
+		{"ObsSampleEvery=1", 1},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			srv := newDispatchBench(t, 16, 1)
+			srv.sampleEvery.Store(arm.sampleEvery)
+			sess := benchSession(3, srv)
+			pkt := wire.Packet{
+				Src: 3, Dst: radio.Broadcast, Channel: 1,
+				Stamp: vclock.FromSeconds(100), Payload: make([]byte, 64),
+			}
+			srv.ingest(sess, pkt) // warm the scratch buffer
+			recorded := srv.ring.Recorded()
+			allocs := testing.AllocsPerRun(500, func() {
+				srv.ingest(sess, pkt)
+			})
+			if allocs != 0 {
+				t.Errorf("ingest allocates %v per packet on the steady state, want 0", allocs)
+			}
+			if srv.Stats().Received == 0 {
+				t.Fatal("ingest did not run")
+			}
+			if arm.sampleEvery == 1 && srv.ring.Recorded()-recorded < 2*500 {
+				t.Fatalf("only %d flight-recorder events for 501 sampled packets",
+					srv.ring.Recorded()-recorded)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/record"
 	"repro/internal/sched"
@@ -100,8 +99,8 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	}()
 	// Sampling gate: one atomic load; the countdown itself is confined
 	// to this session's reader goroutine. Sampled packets pay the
-	// time.Now reads, histogram adds and a tracer slot; everything else
-	// skips the entire instrumentation below.
+	// time.Now reads, histogram adds and flight-recorder events;
+	// everything else skips the entire instrumentation below.
 	sampled := false
 	var obsStart time.Time
 	if se := s.sampleEvery.Load(); se != 0 {
@@ -151,17 +150,12 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
 		})
 	}
-	// Lifecycle trace: claim a slot for the sampled packet and seed the
-	// stages known here (the client's parallel stamp and our ingest
-	// time, both emulation ns). Later stages write through the handle.
+	// Lifecycle trace: the sampled packet's ingest event (the client's
+	// parallel stamp and our ingest time, both emulation ns) opens its
+	// trace; later stages record events keyed by the returned id.
 	var th uint32
 	if sampled {
-		th = s.tracer.Begin(obs.TraceRecord{
-			Src: uint32(pkt.Src), Dst: uint32(pkt.Dst),
-			Channel: uint16(pkt.Channel), Flow: pkt.Flow,
-			Seq: pkt.Seq, Size: uint32(pkt.Size()),
-			Stamp: int64(pkt.Stamp), Ingest: int64(now),
-		})
+		th = s.ring.TraceIngest(int64(now), int64(pkt.Stamp))
 	}
 	// Step 2: resolve NT(src, ch) and the channel's link model in one
 	// epoch-snapshot read — a single atomic load, no locks, no copies
@@ -204,7 +198,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	if sampled {
 		s.hResolve.Observe(time.Since(obsStart))
 		if th != 0 {
-			s.tracer.Rec(th).Resolve = int64(s.cfg.Clock.Now())
+			s.ring.TraceResolve(th, int64(s.cfg.Clock.Now()), uint32(pkt.Src), uint32(pkt.Dst))
 		}
 	}
 	if matched == 0 {
@@ -216,11 +210,11 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 				Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
 			})
 		}
-		s.finishIngest(sampled, obsStart, th)
+		s.finishIngest(sampled, obsStart)
 		return
 	}
 	if len(kept) == 0 {
-		s.finishIngest(sampled, obsStart, th)
+		s.finishIngest(sampled, obsStart)
 		return
 	}
 	// Each scheduled delivery owns one reference on the packet's pooled
@@ -253,7 +247,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			}
 			it := sched.Item{Due: due, To: k.to, Pkt: pkt}
 			if i == 0 {
-				it.Trace = th // one target completes the record
+				it.Trace = th // one target completes the trace
 			}
 			items = append(items, it)
 		}
@@ -273,8 +267,8 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			due = now // cannot ship into the past
 		}
 		// Step 4: into the destination shard's schedule. A broadcast's
-		// trace handle rides only the first kept target, so exactly one
-		// delivery commits it.
+		// trace id rides only the first kept target, so exactly one
+		// delivery completes the trace.
 		it := sched.Item{Due: due, To: k.to, Pkt: pkt}
 		if i == 0 {
 			it.Trace = th
@@ -382,14 +376,10 @@ func (s *Server) pruneChanFreeLocked(now vclock.Time, keep radio.ChannelID) {
 
 // finishIngest closes out a sampled packet that left the pipeline at
 // ingest (no route, or every target lost the link-model roll): the
-// total-ingest histogram still gets its observation and the trace slot
-// is released. No-op for unsampled packets.
-func (s *Server) finishIngest(sampled bool, obsStart time.Time, th uint32) {
-	if !sampled {
-		return
-	}
-	s.hIngest.Observe(time.Since(obsStart))
-	if th != 0 {
-		s.tracer.Release(th)
+// total-ingest histogram still gets its observation. No-op for
+// unsampled packets.
+func (s *Server) finishIngest(sampled bool, obsStart time.Time) {
+	if sampled {
+		s.hIngest.Observe(time.Since(obsStart))
 	}
 }

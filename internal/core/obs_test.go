@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -11,14 +13,13 @@ import (
 
 // TestObservabilityPipeline drives real traffic with every packet
 // sampled and checks the full observability surface: registry counters
-// match Stats, every stage histogram saw observations, and the tracer
-// holds at least one complete five-stage lifecycle record.
+// match Stats, every stage histogram saw observations, the flight
+// recorder holds at least one complete five-stage lifecycle, and /trace
+// draws it as a packet track.
 func TestObservabilityPipeline(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(0, 0)
 	r := newRig(t, func(cfg *ServerConfig) {
 		cfg.Obs = reg
-		cfg.Tracer = tr
 		cfg.ObsSampleEvery = 1
 	})
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
@@ -36,8 +37,13 @@ func TestObservabilityPipeline(t *testing.T) {
 		sk.wait(t, 5*time.Second)
 	}
 
-	if got := reg.Counter("poem_received_total", "").Load(); got != n {
+	if got := waitReceived(reg, n); got != n {
 		t.Errorf("poem_received_total = %d, want %d", got, n)
+	}
+	// The writer counts a delivery forwarded after its send returns,
+	// which races the sink; a quiesced pipeline has settled every count.
+	if !r.server.Quiesce(5 * time.Second) {
+		t.Fatal("pipeline did not drain")
 	}
 	st := r.server.Stats()
 	if st.Received != n || st.Forwarded != n {
@@ -53,13 +59,13 @@ func TestObservabilityPipeline(t *testing.T) {
 		}
 	}
 
-	// The writer commits the record after the socket send, which races
-	// the sink callback — poll briefly.
+	// The writer records the send stage after the socket send, which
+	// races the sink callback — poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var complete int
-		for _, rec := range tr.Records() {
-			if rec.Complete() {
+		for _, rec := range obs.PacketTraces(r.server.Recorder().Snapshot()) {
+			if rec.Stamp != 0 && rec.Ingest != 0 && rec.Resolve != 0 && rec.Enqueue != 0 && rec.Send != 0 {
 				complete++
 				if rec.Src != 1 || rec.Relay != 2 {
 					t.Fatalf("trace record misattributed: %+v", rec)
@@ -74,10 +80,36 @@ func TestObservabilityPipeline(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			c, d := tr.Totals()
-			t.Fatalf("no complete trace record (committed=%d dropped=%d)", c, d)
+			t.Fatalf("no complete trace record (%d events recorded)", r.server.Recorder().Recorded())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The debug endpoint serves the same ring as trace-event JSON: the
+	// packet track carries the packet's identity.
+	w := httptest.NewRecorder()
+	obs.Handler(reg, r.server.Recorder(), nil).ServeHTTP(w, httptest.NewRequest("GET", "/trace", nil))
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Pid  int               `json:"pid"`
+			Args map[string]uint32 `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("/trace is not trace-event JSON: %v\n%s", err, w.Body.String())
+	}
+	tracks := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "packet" && ev.Pid == 1 {
+			tracks++
+			if ev.Args["src"] != 1 || ev.Args["relay"] != 2 || ev.Args["dst"] != 2 {
+				t.Errorf("/trace packet track misattributed: %+v", ev)
+			}
+		}
+	}
+	if tracks == 0 {
+		t.Errorf("/trace drew no packet track:\n%s", w.Body.String())
 	}
 
 	var b strings.Builder
@@ -92,7 +124,7 @@ func TestObservabilityPipeline(t *testing.T) {
 		"poem_scene_nodes", "poem_scene_view_rebuilds_total",
 		"poem_record_packets_total", "poem_record_scenes_total",
 		"poem_ingest_ns_p99", "poem_dispatch_ns_bucket", "poem_send_ns_count",
-		"poem_trace_records_total",
+		"poem_flight_recorder_events_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics output missing %q", want)
@@ -121,13 +153,28 @@ func TestObsSamplingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	sk.wait(t, 5*time.Second)
-	if got := reg.Counter("poem_received_total", "").Load(); got != 1 {
+	if got := waitReceived(reg, 1); got != 1 {
 		t.Errorf("poem_received_total = %d, want 1", got)
 	}
 	if h := reg.FindHistogram("poem_ingest_ns"); h.Count() != 0 {
 		t.Errorf("ingest histogram observed %d with sampling disabled", h.Count())
 	}
-	if c, _ := r.server.Tracer().Totals(); c != 0 {
-		t.Errorf("tracer committed %d records with sampling disabled", c)
+	for _, ev := range r.server.Recorder().Snapshot() {
+		switch ev.Kind {
+		case obs.EvPktIngest, obs.EvPktResolve, obs.EvPktEnqueue, obs.EvPktSend:
+			t.Errorf("flight recorder holds packet event %+v with sampling disabled", ev)
+		}
 	}
+}
+
+// waitReceived polls poem_received_total until it reaches want (or 5 s
+// pass) and returns its value. Ingest commits the received counters
+// last, after the schedule push, so a delivery can reach its sink
+// before the counter of its own packet moves.
+func waitReceived(reg *obs.Registry, want uint64) uint64 {
+	c := reg.Counter("poem_received_total", "")
+	for deadline := time.Now().Add(5 * time.Second); c.Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return c.Load()
 }

@@ -28,7 +28,7 @@ type outMsg struct {
 	kind   outKind
 	pkt    wire.Packet   // outData: the packet due now
 	radios []radio.Radio // outRadios: the VMN's new radio set
-	trace  uint32        // outData: obs trace-slot handle (0 = untraced)
+	trace  uint32        // outData: obs trace id (0 = untraced)
 }
 
 // sendQueue is the bounded per-session outbound queue of the §3.2
@@ -70,49 +70,32 @@ type sendQueue struct {
 	// harness's conservation check quiesces on.
 	inflight int
 
-	drops          atomic.Uint64 // entries discarded by the slow-client policy
-	totalDrops     *obs.Counter  // server-wide aggregate, shared by all sessions
-	totalAbandoned *obs.Counter  // data entries that died with the session
-	tracer         *obs.Tracer   // releases trace slots of evicted entries
+	drops atomic.Uint64 // entries discarded by the slow-client policy
 
-	// onDrop, when set (before the session starts), observes each policy
-	// discard — the fidelity flight recorder timestamps drops into its
-	// event ring. Called under q.mu: it must be lock-free and fast.
-	onDrop func()
+	// srv receives the server-wide drop and abandon counts, and each
+	// policy drop as an event in its flight recorder; id names the
+	// session there. nil in queue unit tests.
+	srv *Server
+	id  radio.NodeID
 }
 
-func newSendQueue(limit int, totalDrops, totalAbandoned *obs.Counter, tracer *obs.Tracer) *sendQueue {
+func newSendQueue(limit int, srv *Server, id radio.NodeID) *sendQueue {
 	if limit <= 0 {
 		limit = DefaultSendQueueDepth
 	}
-	return &sendQueue{limit: limit,
-		totalDrops: totalDrops, totalAbandoned: totalAbandoned, tracer: tracer}
+	return &sendQueue{limit: limit, srv: srv, id: id}
 }
 
-// countDrop charges one policy discard to the session and the server.
+// countDrop charges one policy discard to the session and the server,
+// and timestamps it into the flight recorder: around an incident, which
+// sessions were shedding (and when) is exactly what a trace is for.
 func (q *sendQueue) countDrop() {
 	q.drops.Add(1)
-	if q.totalDrops != nil {
-		q.totalDrops.Inc()
+	if s := q.srv; s != nil {
+		s.mQueueDrops.Inc()
+		s.ring.Record(obs.EvQueueDrop, ShardIndex(q.id, len(s.shards)),
+			int64(s.cfg.Clock.Now()), int64(q.id), 0)
 	}
-	if q.onDrop != nil {
-		q.onDrop()
-	}
-}
-
-// releaseTrace abandons an evicted entry's trace slot, if it has one.
-func (q *sendQueue) releaseTrace(m *outMsg) {
-	if m.trace != 0 && q.tracer != nil {
-		q.tracer.Release(m.trace)
-	}
-}
-
-// releaseEntry settles an entry that will never reach the wire: its
-// trace slot goes back to the tracer and its packet buffer reference is
-// freed (nil-safe — radio notifications carry no buffer).
-func (q *sendQueue) releaseEntry(m *outMsg) {
-	q.releaseTrace(m)
-	m.pkt.Buf.Free()
 }
 
 // countAbandoned charges one data delivery that died with its session
@@ -120,8 +103,8 @@ func (q *sendQueue) releaseEntry(m *outMsg) {
 // send). Packet conservation needs every accepted delivery to end in
 // exactly one of forwarded / queue-dropped / abandoned.
 func (q *sendQueue) countAbandoned() {
-	if q.totalAbandoned != nil {
-		q.totalAbandoned.Inc()
+	if q.srv != nil {
+		q.srv.mAbandoned.Inc()
 	}
 }
 
@@ -132,11 +115,10 @@ func (q *sendQueue) countAbandoned() {
 func (q *sendQueue) push(m outMsg) bool {
 	q.mu.Lock()
 	if q.closed {
-		// The session is over; the delivery dies here. Its trace slot
-		// and buffer must still be released and — for data — the loss
-		// accounted, or the conservation ledger would leak one packet
-		// per kill race.
-		q.releaseEntry(&m)
+		// The session is over; the delivery dies here. Its buffer must
+		// still be released and — for data — the loss accounted, or the
+		// conservation ledger would leak one packet per kill race.
+		m.pkt.Buf.Free() // nil-safe: notifications carry no buffer
 		if m.kind == outData {
 			q.countAbandoned()
 		}
@@ -150,7 +132,7 @@ func (q *sendQueue) push(m outMsg) bool {
 			// them; a notification displaces the oldest one.
 			if m.kind == outData {
 				q.countDrop()
-				q.releaseEntry(&m)
+				m.pkt.Buf.Free()
 				q.mu.Unlock()
 				return false
 			}
@@ -244,7 +226,7 @@ func (q *sendQueue) dropHeadLocked() {
 	if head.kind == outData {
 		q.countDrop()
 	}
-	q.releaseEntry(head)
+	head.pkt.Buf.Free() // nil-safe: notifications carry no buffer
 	*head = outMsg{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
@@ -299,7 +281,7 @@ func (q *sendQueue) close() {
 	q.closed = true
 	for i := 0; i < q.n; i++ {
 		m := &q.buf[(q.head+i)%len(q.buf)]
-		q.releaseEntry(m)
+		m.pkt.Buf.Free()
 		if m.kind == outData {
 			q.countAbandoned()
 		}

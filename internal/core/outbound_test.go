@@ -28,7 +28,7 @@ import (
 // filled with scene notifications inflated QueueDrops and broke
 // Entered == Forwarded + QueueDrops + Abandoned.)
 func TestSendQueueNotificationEvictionNotCountedAsDrop(t *testing.T) {
-	q := newSendQueue(2, nil, nil, nil)
+	q := newSendQueue(2, nil, 0)
 	note := outMsg{kind: outRadios, radios: []radio.Radio{{Channel: 1}}}
 	for i := 0; i < 2; i++ {
 		if !q.push(note) {
@@ -53,7 +53,7 @@ func TestSendQueueNotificationEvictionNotCountedAsDrop(t *testing.T) {
 
 // Data evicting data is the normal slow-client policy and still counts.
 func TestSendQueueDataEvictionCountsDrop(t *testing.T) {
-	q := newSendQueue(1, nil, nil, nil)
+	q := newSendQueue(1, nil, 0)
 	q.push(outMsg{kind: outData})
 	if !q.push(outMsg{kind: outData}) {
 		t.Fatal("second data push should evict and be accepted")
@@ -79,7 +79,7 @@ func TestSendQueueEvictsDataBehindNotification(t *testing.T) {
 	note := func(ch radio.ChannelID) outMsg {
 		return outMsg{kind: outRadios, radios: []radio.Radio{{Channel: ch}}}
 	}
-	q := newSendQueue(4, nil, nil, nil)
+	q := newSendQueue(4, nil, 0)
 	q.push(note(1))
 	q.push(note(2))
 	q.push(data(1))
@@ -119,7 +119,7 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 		b := pool.Alloc(16)
 		return outMsg{kind: outData, pkt: wire.Packet{Payload: b.Bytes(), Buf: b}}
 	}
-	q := newSendQueue(1, nil, nil, nil)
+	q := newSendQueue(1, nil, 0)
 	q.push(mk())
 	q.push(mk()) // evicts the first
 	q.push(mk()) // evicts the second

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -104,8 +103,11 @@ func (s *Server) handle(conn transport.Conn) {
 		case *wire.Bye:
 			return
 		default:
-			// Unknown-but-decodable messages are ignored; forward
-			// compatibility for newer clients.
+			// Unknown-but-decodable messages are ignored (forward
+			// compatibility for newer clients), but a pooled one — a
+			// TrunkBatch sent on a client session — still owns its frame
+			// buffer.
+			wire.ReleaseMsg(m)
 		}
 	}
 }
@@ -146,19 +148,10 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 		id:   id,
 		conn: conn,
 		rng:  rand.New(rand.NewSource(s.cfg.Seed ^ int64(id)<<17 ^ 0x9e3779b9)),
-		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned, s.tracer),
+		q:    newSendQueue(s.cfg.SendQueueDepth, s, id),
 	}
 	sess.q.wg = &s.wg
 	sess.q.writer = func() { s.sessionWriter(sess) }
-	if s.fid != nil {
-		// Timestamp policy drops into the flight recorder: around an
-		// incident, which sessions were shedding (and when) is exactly
-		// what the breach dump is for.
-		rec, shardIdx := s.fid.Recorder(), int32(ShardIndex(id, len(s.shards)))
-		sess.q.onDrop = func() {
-			rec.Record(fidelity.EvQueueDrop, int(shardIdx), int64(s.cfg.Clock.Now()), int64(id), 0)
-		}
-	}
 	// Insertion nests the shard lock inside Server.mu (the one permitted
 	// nesting, see the ordering note above): the closed check and the
 	// insert must be one atomic step against Close, or a session could

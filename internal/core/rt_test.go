@@ -8,6 +8,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -70,8 +71,8 @@ func testFidelityWiring(t *testing.T, shards int) {
 		t.Fatalf("fidelity accounted %d fired deliveries, want ≥ 4", fired)
 	}
 	var haveFire bool
-	for _, ev := range fid.Recorder().Snapshot() {
-		if ev.Kind == fidelity.EvBatchFire {
+	for _, ev := range r.server.Recorder().Snapshot() {
+		if ev.Kind == obs.EvBatchFire {
 			haveFire = true
 		}
 	}
@@ -238,48 +239,56 @@ func TestFidelityDeadlineMissManualClock(t *testing.T) {
 
 // TestFidelityQueueDropAndRebuildEvents pins the two cold-path flight-
 // recorder feeds: a slow-client queue drop and a scene view rebuild
-// must both land in the ring.
+// must both land in the ring — also with the fidelity monitor off, since
+// the ring is the server's.
 func TestFidelityQueueDropAndRebuildEvents(t *testing.T) {
-	r := newRig(t, func(c *ServerConfig) { c.SendQueueDepth = 8 })
-	r.scene.SetLinkModel(1, uniformModel(0))
-	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
-	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
-	rawSession(t, r.lis, 2) // VMN2 never reads; its queue must overflow
-	c1 := r.client(1, nil)
+	for _, tol := range []time.Duration{0, -1} {
+		t.Run(fmt.Sprintf("rt-tolerance=%v", tol), func(t *testing.T) {
+			r := newRig(t, func(c *ServerConfig) {
+				c.SendQueueDepth = 8
+				c.RTTolerance = tol
+			})
+			r.scene.SetLinkModel(1, uniformModel(0))
+			r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
+			r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
+			rawSession(t, r.lis, 2) // VMN2 never reads; its queue must overflow
+			c1 := r.client(1, nil)
 
-	const flood = 900
-	for i := 1; i <= flood; i++ {
-		if err := c1.Send(wire.Packet{Dst: 2, Channel: 1, Seq: uint32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for r.server.Stats().QueueDrops == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if r.server.Stats().QueueDrops == 0 {
-		t.Fatal("flood produced no queue drops")
-	}
-	// A range change republishes channel 1's dispatch view.
-	r.scene.SetRange(1, 1, 150)
+			const flood = 900
+			for i := 1; i <= flood; i++ {
+				if err := c1.Send(wire.Packet{Dst: 2, Channel: 1, Seq: uint32(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for r.server.Stats().QueueDrops == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if r.server.Stats().QueueDrops == 0 {
+				t.Fatal("flood produced no queue drops")
+			}
+			// A range change republishes channel 1's dispatch view.
+			r.scene.SetRange(1, 1, 150)
 
-	var haveDrop, haveRebuild bool
-	for _, ev := range r.server.Fidelity().Recorder().Snapshot() {
-		switch ev.Kind {
-		case fidelity.EvQueueDrop:
-			if ev.A == 2 { // the wedged VMN
-				haveDrop = true
+			var haveDrop, haveRebuild bool
+			for _, ev := range r.server.Recorder().Snapshot() {
+				switch ev.Kind {
+				case obs.EvQueueDrop:
+					if ev.A == 2 { // the wedged VMN
+						haveDrop = true
+					}
+				case obs.EvViewRebuild:
+					if ev.A == 1 { // channel 1
+						haveRebuild = true
+					}
+				}
 			}
-		case fidelity.EvViewRebuild:
-			if ev.A == 1 { // channel 1
-				haveRebuild = true
+			if !haveDrop {
+				t.Error("no queue-drop event for VMN 2 in the flight recorder")
 			}
-		}
-	}
-	if !haveDrop {
-		t.Error("no queue-drop event for VMN 2 in the flight recorder")
-	}
-	if !haveRebuild {
-		t.Error("no view-rebuild event for channel 1 in the flight recorder")
+			if !haveRebuild {
+				t.Error("no view-rebuild event for channel 1 in the flight recorder")
+			}
+		})
 	}
 }

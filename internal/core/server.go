@@ -105,10 +105,6 @@ type ServerConfig struct {
 	// Server.Obs() returns whichever is in effect. Sharing one registry
 	// across servers shares the counters (registration is idempotent).
 	Obs *obs.Registry
-	// Tracer records sampled packet lifecycles for the /trace debug
-	// endpoint. nil creates one with default dimensions; Server.Tracer()
-	// returns it.
-	Tracer *obs.Tracer
 	// ObsSampleEvery gates the per-packet timing and tracing: one packet
 	// in every ObsSampleEvery per session is stage-timed and traced.
 	// Counters always run. 0 selects DefaultObsSampleEvery; negative
@@ -232,16 +228,20 @@ type Server struct {
 	scratch scratchCache // ingest working memory, lent per call
 
 	// Observability. The counters live on the registry (exported through
-	// Stats and /metrics); the histograms and tracer record only sampled
-	// packets, gated by sampleEvery (one atomic load on the unsampled
-	// path — see ingest).
+	// Stats and /metrics); the histograms and packet traces record only
+	// sampled packets, gated by sampleEvery (one atomic load on the
+	// unsampled path — see ingest).
 	obs         *obs.Registry
-	tracer      *obs.Tracer
 	sampleEvery atomic.Uint32 // 0 = sampling disabled
 
+	// ring is the flight recorder, the server's one trace ring: queue
+	// drops, view rebuilds, the fidelity monitor's incidents and the
+	// stages of sampled packets (obs/trace.go) all land in it.
+	ring *obs.Recorder
+
 	// fid is the real-time fidelity monitor: per-shard deadline
-	// accounting, the health state machine, and the flight recorder.
-	// nil when RTTolerance is negative (monitoring disabled).
+	// accounting and the health state machine. nil when RTTolerance is
+	// negative (monitoring disabled).
 	fid *fidelity.Monitor
 
 	// cluster is the federation tier (cluster.go); nil on an
@@ -371,10 +371,11 @@ func newServer(cfg ServerConfig, newQueue func() sched.Queue) (*Server, error) {
 	return s, nil
 }
 
-// instrument wires the server onto its metrics registry and tracer
-// (creating private ones when the config supplies none) and registers
-// every counter, gauge and stage histogram — including one instrument
-// set per shard, named with an embedded shard label (obs.Labeled).
+// instrument wires the server onto its metrics registry (creating a
+// private one when the config supplies none), builds the flight
+// recorder, and registers every counter, gauge and stage histogram —
+// including one instrument set per shard, named with an embedded shard
+// label (obs.Labeled).
 // Gauge callbacks run at scrape time only; the cross-shard aggregates
 // visit one shard lock at a time.
 func (s *Server) instrument(cfg ServerConfig) {
@@ -382,11 +383,9 @@ func (s *Server) instrument(cfg ServerConfig) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = obs.NewTracer(0, 0)
-	}
-	s.obs, s.tracer = reg, tr
+	s.obs = reg
+	s.ring = obs.NewRecorder(obs.DefaultRecorderSize)
+	s.ring.Instrument(reg)
 
 	s.mReceived = reg.Counter("poem_received_total", "packets received from clients")
 	s.mForwarded = reg.Counter("poem_forwarded_total", "packet deliveries sent to clients")
@@ -425,18 +424,17 @@ func (s *Server) instrument(cfg ServerConfig) {
 	reg.Gauge("poem_shards", "independent pipeline shards", func() float64 {
 		return float64(len(s.shards))
 	})
+	// Timeline context for traces and breach dumps: every dispatch-view
+	// publish lands in the flight recorder (a rebuild storm next to a
+	// lag spike is a diagnosis, not a coincidence).
+	cfg.Scene.SetRebuildObserver(func(ch radio.ChannelID) {
+		s.ring.Record(obs.EvViewRebuild, -1, int64(s.cfg.Clock.Now()), int64(ch), 0)
+	})
 	if cfg.RTTolerance >= 0 {
 		s.fid = fidelity.New(len(s.shards), fidelity.Config{
 			Tolerance: cfg.RTTolerance,
 			Window:    cfg.RTWindow,
-		}, reg)
-		// Timeline context for breach dumps: every dispatch-view publish
-		// lands in the flight recorder (a rebuild storm next to a lag
-		// spike is a diagnosis, not a coincidence).
-		rec := s.fid.Recorder()
-		cfg.Scene.SetRebuildObserver(func(ch radio.ChannelID) {
-			rec.Record(fidelity.EvViewRebuild, -1, int64(s.cfg.Clock.Now()), int64(ch), 0)
-		})
+		}, s.ring, reg)
 	}
 	for _, sh := range s.shards {
 		sh := sh
@@ -473,7 +471,6 @@ func (s *Server) instrument(cfg ServerConfig) {
 	if cfg.Store != nil {
 		cfg.Store.Instrument(reg)
 	}
-	tr.Instrument(reg)
 
 	switch {
 	case cfg.ObsSampleEvery < 0:
@@ -494,7 +491,6 @@ func (s *Server) instrument(cfg ServerConfig) {
 // CI-gated).
 func (s *Server) fireObserver(sh *shard) func(vclock.Time, []sched.Item) {
 	fm := sh.fid
-	rec := s.fid.Recorder()
 	tol := vclock.Time(s.fid.Tolerance())
 	return func(now vclock.Time, batch []sched.Item) {
 		n := len(batch)
@@ -522,7 +518,7 @@ func (s *Server) fireObserver(sh *shard) func(vclock.Time, []sched.Item) {
 			// into the flight recorder so a dump shows how the loop behaved
 			// around an incident.
 			st := sh.scanner.Stats()
-			rec.Record(fidelity.EvScannerWindow, sh.idx, int64(now),
+			s.ring.Record(obs.EvScannerWindow, sh.idx, int64(now),
 				int64(st.KicksElided), int64(st.Wakeups))
 		}
 	}
@@ -531,8 +527,9 @@ func (s *Server) fireObserver(sh *shard) func(vclock.Time, []sched.Item) {
 // Obs returns the server's metrics registry.
 func (s *Server) Obs() *obs.Registry { return s.obs }
 
-// Tracer returns the server's packet-lifecycle tracer.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+// Recorder returns the server's flight recorder: the one trace ring
+// behind /trace, breach dumps and obs.PacketTraces.
+func (s *Server) Recorder() *obs.Recorder { return s.ring }
 
 // Fidelity returns the real-time fidelity monitor, or nil when
 // ServerConfig.RTTolerance disabled it.

@@ -50,7 +50,7 @@ func (q *sendQueue) isRunning() bool {
 // Entries pushed before the gate opens wait for it: register relies on
 // this to put the HelloAck on the wire ahead of any queued event.
 func TestSendQueueWriterWaitsForGate(t *testing.T) {
-	q := newSendQueue(8, nil, nil, nil)
+	q := newSendQueue(8, nil, 0)
 	var got []uint32
 	wg, starts := drainWriter(q, 4, func(b []outMsg) {
 		for _, m := range b {
@@ -77,7 +77,7 @@ func TestSendQueueWriterWaitsForGate(t *testing.T) {
 		t.Fatalf("writer shipped %v, want [1 2 3]", got)
 	}
 	// A closed queue keeps its gate shut.
-	q2 := newSendQueue(8, nil, nil, nil)
+	q2 := newSendQueue(8, nil, 0)
 	drainWriter(q2, 4, func([]outMsg) {})
 	q2.close()
 	if q2.openGate() {
@@ -88,7 +88,7 @@ func TestSendQueueWriterWaitsForGate(t *testing.T) {
 // The writer exits as soon as the queue is empty, and the next push
 // starts a fresh one.
 func TestSendQueueWriterExitsWhenEmpty(t *testing.T) {
-	q := newSendQueue(8, nil, nil, nil)
+	q := newSendQueue(8, nil, 0)
 	var shipped atomic.Int32
 	wg, starts := drainWriter(q, 4, func(b []outMsg) { shipped.Add(int32(len(b))) })
 	q.openGate()
@@ -114,7 +114,7 @@ func TestSendQueueWriterExitsWhenEmpty(t *testing.T) {
 // detector as well as the order check.
 func TestSendQueuePushRacingExitStrandsNothing(t *testing.T) {
 	const producers, each = 8, 2000
-	q := newSendQueue(producers*each, nil, nil, nil)
+	q := newSendQueue(producers*each, nil, 0)
 	last := make([]uint32, producers)
 	var shipped atomic.Int64
 	var order atomic.Int32

@@ -12,7 +12,7 @@ import (
 // per packet) and it must stay allocation-free — check_allocs.sh gates
 // it at 0 allocs/op; BENCH_rt.json records the baseline.
 func BenchmarkShardRecord(b *testing.B) {
-	m := New(1, Config{}, nil)
+	m := New(1, Config{}, nil, nil)
 	sh := m.Shard(0)
 	b.Run("healthy", func(b *testing.B) {
 		b.ReportAllocs()
@@ -34,15 +34,4 @@ func BenchmarkShardRecord(b *testing.B) {
 			sh.Record(int64(i), int64(100*time.Millisecond), 8, 8)
 		}
 	})
-}
-
-// BenchmarkRecorderRecord measures one flight-recorder append — the
-// cost cold paths (queue drops, view rebuilds) pay to drop an event in
-// the ring. Five atomic stores, no allocation.
-func BenchmarkRecorderRecord(b *testing.B) {
-	r := NewRecorder(DefaultRecorderSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Record(EvQueueDrop, 0, int64(i), 42, 0)
-	}
 }

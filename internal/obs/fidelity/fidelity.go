@@ -19,11 +19,11 @@
 //  2. A health state machine (healthy → degraded → overrun) per shard
 //     and server-wide, evaluated once per accounting window with
 //     hysteresis so the state doesn't flap at a threshold boundary.
-//  3. A lock-free flight recorder (recorder.go): a fixed ring of
-//     recent structured events — batch fires with their lag, deadline
-//     misses, queue drops, scanner window summaries, view rebuilds,
-//     state transitions — dumped automatically when the server-wide
-//     state worsens and exportable as chrome://tracing JSON.
+//  3. The server's flight recorder (obs.Recorder), handed in at New:
+//     the monitor adds batch fires with their lag, deadline misses and
+//     state transitions to the ring the rest of the server already
+//     feeds (queue drops, view rebuilds, sampled packet stages), and
+//     dumps it automatically when the server-wide state worsens.
 //
 // Concurrency contract: Shard.Record is called only from the owning
 // scanner goroutine (single writer); everything a scraper reads is an
@@ -83,8 +83,28 @@ const (
 	// DefaultWindow is how many fired deliveries close one health
 	// evaluation window.
 	DefaultWindow = 256
-	// DefaultRecorderSize is the flight-recorder ring capacity.
-	DefaultRecorderSize = 4096
+)
+
+// State-machine thresholds.
+const (
+	// degradeMissRate / overrunMissRate are the per-window miss-rate
+	// thresholds that escalate a shard to Degraded / Overrun.
+	degradeMissRate = 0.01
+	overrunMissRate = 0.25
+	// degradeLagFactor / overrunLagFactor escalate on the window's max
+	// observed lag reaching factor×Tolerance, so a single catastrophic
+	// stall trips the state machine even when the miss *rate* is still
+	// low (few deliveries, all of them very late).
+	degradeLagFactor = 8
+	overrunLagFactor = 64
+	// hysteresis scales the thresholds a recovering shard must drop
+	// below before the state steps back down (one level per clean
+	// window): a shard degraded at a 1% miss rate recovers only once a
+	// whole window stays under 0.5%.
+	hysteresis = 0.5
+	// driftAlpha is the EWMA smoothing factor for the drift estimate
+	// (new = old + alpha×(lag−old)), applied once per batch.
+	driftAlpha = 1.0 / 16
 )
 
 // Config tunes the monitor. The zero value selects every default.
@@ -95,29 +115,6 @@ type Config struct {
 	// Window is how many fired deliveries accumulate before the shard's
 	// health state is re-evaluated. Zero selects DefaultWindow.
 	Window int
-	// DegradeMissRate / OverrunMissRate are the per-window miss-rate
-	// thresholds that escalate a shard to Degraded / Overrun. Zero
-	// selects 0.01 / 0.25.
-	DegradeMissRate float64
-	OverrunMissRate float64
-	// DegradeLagFactor / OverrunLagFactor escalate on the window's max
-	// observed lag reaching factor×Tolerance, so a single catastrophic
-	// stall trips the state machine even when the miss *rate* is still
-	// low (few deliveries, all of them very late). Zero selects 8 / 64.
-	DegradeLagFactor int
-	OverrunLagFactor int
-	// Hysteresis scales the thresholds a recovering shard must drop
-	// below before the state steps back down (one level per clean
-	// window). Zero selects 0.5: a shard degraded at a 1% miss rate
-	// recovers only once a whole window stays under 0.5%.
-	Hysteresis float64
-	// RecorderSize is the flight-recorder ring capacity, rounded up to
-	// a power of two. Zero selects DefaultRecorderSize.
-	RecorderSize int
-	// DriftAlpha is the EWMA smoothing factor for the drift estimate
-	// (new = old + alpha×(lag−old)), applied once per batch. Zero
-	// selects 1/16.
-	DriftAlpha float64
 }
 
 func (c Config) withDefaults() Config {
@@ -127,46 +124,25 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	if c.DegradeMissRate <= 0 {
-		c.DegradeMissRate = 0.01
-	}
-	if c.OverrunMissRate <= 0 {
-		c.OverrunMissRate = 0.25
-	}
-	if c.DegradeLagFactor <= 0 {
-		c.DegradeLagFactor = 8
-	}
-	if c.OverrunLagFactor <= 0 {
-		c.OverrunLagFactor = 64
-	}
-	if c.Hysteresis <= 0 || c.Hysteresis >= 1 {
-		c.Hysteresis = 0.5
-	}
-	if c.RecorderSize <= 0 {
-		c.RecorderSize = DefaultRecorderSize
-	}
-	if c.DriftAlpha <= 0 || c.DriftAlpha > 1 {
-		c.DriftAlpha = 1.0 / 16
-	}
 	return c
 }
 
 // Dump is a flight-recorder snapshot taken when the server-wide health
 // state worsened.
 type Dump struct {
-	At     int64   `json:"at"` // emulation ns of the breach
-	State  State   `json:"-"`  // the state entered
-	Events []Event `json:"events"`
+	At     int64       `json:"at"` // emulation ns of the breach
+	State  State       `json:"-"`  // the state entered
+	Events []obs.Event `json:"events"`
 }
 
-// Monitor owns the per-shard deadline accounting, the health state
-// machine, and the flight recorder for one server.
+// Monitor owns the per-shard deadline accounting and the health state
+// machine for one server, and records into its flight recorder.
 type Monitor struct {
 	cfg      Config
 	tolNs    int64
 	degLagNs int64 // window max-lag escalation thresholds
 	ovrLagNs int64
-	rec      *Recorder
+	rec      *obs.Recorder
 	shards   []*Shard
 
 	state        atomic.Uint32 // server-wide State (max over shards)
@@ -181,20 +157,24 @@ type Monitor struct {
 	mu sync.Mutex
 }
 
-// New builds a monitor for nshards pipeline shards and registers its
-// instruments on reg (nil registers on a private registry — the monitor
-// still works, it just isn't scraped).
-func New(nshards int, cfg Config, reg *obs.Registry) *Monitor {
+// New builds a monitor for nshards pipeline shards that records into
+// rec, the server's flight recorder, and registers its instruments on
+// reg. A nil rec or reg gets a private one — the monitor still works,
+// its events just aren't shared or scraped.
+func New(nshards int, cfg Config, rec *obs.Recorder, reg *obs.Registry) *Monitor {
 	cfg = cfg.withDefaults()
+	if rec == nil {
+		rec = obs.NewRecorder(obs.DefaultRecorderSize)
+	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	m := &Monitor{
 		cfg:      cfg,
 		tolNs:    int64(cfg.Tolerance),
-		degLagNs: int64(cfg.Tolerance) * int64(cfg.DegradeLagFactor),
-		ovrLagNs: int64(cfg.Tolerance) * int64(cfg.OverrunLagFactor),
-		rec:      NewRecorder(cfg.RecorderSize),
+		degLagNs: int64(cfg.Tolerance) * degradeLagFactor,
+		ovrLagNs: int64(cfg.Tolerance) * overrunLagFactor,
+		rec:      rec,
 	}
 	m.shards = make([]*Shard, nshards)
 	for i := range m.shards {
@@ -209,10 +189,6 @@ func (m *Monitor) Tolerance() time.Duration { return m.cfg.Tolerance }
 
 // Shard returns the per-shard monitor for shard i.
 func (m *Monitor) Shard(i int) *Shard { return m.shards[i] }
-
-// Recorder returns the flight recorder, for subsystems that want to
-// drop their own events into the ring (queue drops, view rebuilds).
-func (m *Monitor) Recorder() *Recorder { return m.rec }
 
 // State returns the server-wide health state.
 func (m *Monitor) State() State { return State(m.state.Load()) }
@@ -274,9 +250,6 @@ func (m *Monitor) instrument(reg *obs.Registry) {
 	reg.CounterFunc("poem_health_breaches_total",
 		"times the server-wide health state worsened (each captures a flight-recorder dump)",
 		m.breaches.Load)
-	reg.CounterFunc("poem_flight_recorder_events_total",
-		"structured events written to the flight-recorder ring",
-		func() uint64 { return m.rec.Recorded() })
 	for _, sh := range m.shards {
 		sh := sh
 		idx := itoa(sh.idx)
@@ -325,7 +298,7 @@ func (m *Monitor) refreshServer(nowNs int64) {
 		return
 	}
 	m.state.Store(uint32(worst))
-	m.rec.Record(EvStateTransition, -1, nowNs, int64(cur), int64(worst))
+	m.rec.Record(obs.EvStateTransition, -1, nowNs, int64(cur), int64(worst))
 	var dump *Dump
 	if worst > cur {
 		m.breaches.Add(1)
@@ -377,12 +350,12 @@ func (s *Shard) Record(nowNs, lagNs int64, fired, missed int) (windowClosed bool
 		s.watermark.Store(lagNs)
 	}
 	d := math.Float64frombits(s.drift.Load())
-	d += s.m.cfg.DriftAlpha * (float64(lagNs) - d)
+	d += driftAlpha * (float64(lagNs) - d)
 	s.drift.Store(math.Float64bits(d))
 
-	s.m.rec.Record(EvBatchFire, s.idx, nowNs, lagNs, int64(fired))
+	s.m.rec.Record(obs.EvBatchFire, s.idx, nowNs, lagNs, int64(fired))
 	if missed > 0 {
-		s.m.rec.Record(EvDeadlineMiss, s.idx, nowNs, lagNs, int64(missed))
+		s.m.rec.Record(obs.EvDeadlineMiss, s.idx, nowNs, lagNs, int64(missed))
 	}
 
 	s.windowFired += fired
@@ -401,7 +374,7 @@ func (s *Shard) Record(nowNs, lagNs int64, fired, missed int) (windowClosed bool
 	next := s.m.classify(cur, rate, maxLag)
 	if next != cur {
 		s.state.Store(uint32(next))
-		s.m.rec.Record(EvStateTransition, s.idx, nowNs, int64(cur), int64(next))
+		s.m.rec.Record(obs.EvStateTransition, s.idx, nowNs, int64(cur), int64(next))
 		s.m.notifyTransition(s.idx, cur, next)
 		s.m.refreshServer(nowNs)
 	}
@@ -410,23 +383,22 @@ func (s *Shard) Record(nowNs, lagNs int64, fired, missed int) (windowClosed bool
 
 // classify maps one window's (miss rate, max lag) onto the next state.
 // Escalation is immediate; de-escalation requires the window to clear
-// the threshold scaled by Hysteresis and steps down one level at a
+// the threshold scaled by hysteresis and steps down one level at a
 // time, so a shard oscillating around a threshold parks in the worse
 // state instead of flapping.
 func (m *Monitor) classify(cur State, rate float64, maxLag int64) State {
-	h := m.cfg.Hysteresis
-	if rate >= m.cfg.OverrunMissRate || maxLag >= m.ovrLagNs {
+	if rate >= overrunMissRate || maxLag >= m.ovrLagNs {
 		return Overrun
 	}
 	if cur == Overrun &&
-		(rate >= m.cfg.OverrunMissRate*h || maxLag >= int64(float64(m.ovrLagNs)*h)) {
+		(rate >= overrunMissRate*hysteresis || maxLag >= int64(float64(m.ovrLagNs)*hysteresis)) {
 		return Overrun // not clean enough to step down yet
 	}
-	if rate >= m.cfg.DegradeMissRate || maxLag >= m.degLagNs {
+	if rate >= degradeMissRate || maxLag >= m.degLagNs {
 		return Degraded
 	}
 	if cur >= Degraded &&
-		(rate >= m.cfg.DegradeMissRate*h || maxLag >= int64(float64(m.degLagNs)*h)) {
+		(rate >= degradeMissRate*hysteresis || maxLag >= int64(float64(m.degLagNs)*hysteresis)) {
 		return Degraded
 	}
 	if cur == Overrun {

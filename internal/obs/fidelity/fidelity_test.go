@@ -15,7 +15,7 @@ func testMonitor(nshards int) (*Monitor, *obs.Registry) {
 	m := New(nshards, Config{
 		Tolerance: time.Millisecond,
 		Window:    1000,
-	}, reg)
+	}, nil, reg)
 	return m, reg
 }
 
@@ -167,11 +167,11 @@ func TestBreachDumpAndCallback(t *testing.T) {
 	var haveMiss, haveShardTransition, haveServerTransition bool
 	for _, ev := range gotDump.Events {
 		switch {
-		case ev.Kind == EvDeadlineMiss && ev.Shard == 0:
+		case ev.Kind == obs.EvDeadlineMiss && ev.Shard == 0:
 			haveMiss = true
-		case ev.Kind == EvStateTransition && ev.Shard == 0:
+		case ev.Kind == obs.EvStateTransition && ev.Shard == 0:
 			haveShardTransition = true
-		case ev.Kind == EvStateTransition && ev.Shard == -1:
+		case ev.Kind == obs.EvStateTransition && ev.Shard == -1:
 			haveServerTransition = true
 		}
 	}
@@ -221,12 +221,11 @@ func TestServerWideWorst(t *testing.T) {
 // dashboards scrape, including two-digit shard labels.
 func TestInstrumentFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
-	New(12, Config{}, reg)
+	New(12, Config{}, nil, reg)
 	names := strings.Join(reg.Names(), "\n")
 	for _, want := range []string{
 		"poem_health",
 		"poem_health_breaches_total",
-		"poem_flight_recorder_events_total",
 		`poem_shard_deadline_miss_total{shard="0"}`,
 		`poem_shard_deadline_lag_ns{shard="0"}`,
 		`poem_shard_deadline_watermark_ns{shard="11"}`,
@@ -248,15 +247,15 @@ func TestInstrumentFamilies(t *testing.T) {
 
 // TestDefaults pins the documented zero-value behavior.
 func TestDefaults(t *testing.T) {
-	m := New(1, Config{}, nil)
+	m := New(1, Config{}, nil, nil)
 	if m.Tolerance() != DefaultTolerance {
 		t.Fatalf("tolerance %v, want %v", m.Tolerance(), DefaultTolerance)
 	}
 	if m.cfg.Window != DefaultWindow {
 		t.Fatalf("window %d, want %d", m.cfg.Window, DefaultWindow)
 	}
-	if m.rec.Cap() != DefaultRecorderSize {
-		t.Fatalf("recorder cap %d, want %d", m.rec.Cap(), DefaultRecorderSize)
+	if m.rec.Cap() != obs.DefaultRecorderSize {
+		t.Fatalf("recorder cap %d, want %d", m.rec.Cap(), obs.DefaultRecorderSize)
 	}
 	if m.State() != Healthy {
 		t.Fatalf("fresh monitor state %v", m.State())

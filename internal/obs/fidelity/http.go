@@ -4,12 +4,14 @@ package fidelity
 // /metrics (see obs.Handler's extra-endpoint hook).
 //
 //	/healthz         JSON health report; 503 while any shard is overrun
-//	/fidelity/trace  live flight-recorder ring as chrome://tracing JSON
-//	/fidelity/dump   the ring captured at the last health breach
+//	/fidelity/dump   the flight recorder captured at the last health
+//	                 breach (the live ring is obs.Handler's /trace)
 
 import (
 	"encoding/json"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // healthReport is the /healthz response body.
@@ -40,16 +42,6 @@ func (m *Monitor) HealthHandler() http.Handler {
 	})
 }
 
-// TraceHandler exports the live flight-recorder ring as chrome://tracing
-// JSON — a timeline of recent batch fires (with lag), drops, rebuilds
-// and state transitions, without waiting for a breach.
-func (m *Monitor) TraceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		WriteTrace(w, m.rec.Snapshot())
-	})
-}
-
 // DumpHandler exports the flight-recorder dump captured at the most
 // recent health breach, as chrome://tracing JSON; 404 until the first
 // breach.
@@ -62,6 +54,6 @@ func (m *Monitor) DumpHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Poem-Breach-State", d.State.String())
-		WriteTrace(w, d.Events)
+		obs.WriteTrace(w, d.Events)
 	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -10,7 +9,8 @@ import (
 // HTTP debug surface: poemd serves this on its -debug listener.
 //
 //	/metrics        Prometheus text exposition of the registry
-//	/trace          JSON dump of the packet-lifecycle trace ring
+//	/trace          the flight-recorder ring as chrome://tracing JSON:
+//	                incidents plus one track per sampled packet
 //	/healthz        liveness probe
 //	/debug/pprof/*  the standard Go profiling endpoints
 //
@@ -28,12 +28,12 @@ type Endpoint struct {
 	H       http.Handler
 }
 
-// Handler builds the debug mux. reg supplies /metrics; tr (may be nil)
-// supplies /trace; gate (may be nil) disables the scrape endpoints once
+// Handler builds the debug mux. reg supplies /metrics; ring (may be
+// nil) supplies /trace; gate (may be nil) disables the scrape endpoints once
 // closed. extras are mounted on the same mux, behind the same gate —
 // except /healthz overrides, which stay ungated (a liveness probe must
 // answer during shutdown too).
-func Handler(reg *Registry, tr *Tracer, gate <-chan struct{}, extras ...Endpoint) http.Handler {
+func Handler(reg *Registry, ring *Recorder, gate <-chan struct{}, extras ...Endpoint) http.Handler {
 	gated := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if gate != nil {
@@ -66,16 +66,11 @@ func Handler(reg *Registry, tr *Tracer, gate <-chan struct{}, extras ...Endpoint
 	if !overridden["/trace"] {
 		mux.HandleFunc("/trace", gated(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			var recs []TraceRecord
-			if tr != nil {
-				recs = tr.Records()
+			var events []Event
+			if ring != nil {
+				events = ring.Snapshot()
 			}
-			if recs == nil {
-				recs = []TraceRecord{}
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(recs)
+			WriteTrace(w, events)
 		}))
 	}
 	if !overridden["/healthz"] {

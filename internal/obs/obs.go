@@ -1,7 +1,8 @@
 // Package obs is PoEm's unified observability layer: a dependency-free
 // metrics registry (atomic counters, callback gauges, lock-free
-// log₂-bucketed latency histograms) plus a sampled packet-lifecycle
-// tracer (trace.go) and an HTTP debug surface (http.go).
+// log₂-bucketed latency histograms) plus the flight recorder — one
+// lock-free event ring for incidents and sampled packet lifecycles
+// (recorder.go, trace.go) — and an HTTP debug surface (http.go).
 //
 // The paper's second claim — accurate real-time traffic recording even
 // when the server ingress is the bottleneck — is only testable if the
@@ -21,7 +22,7 @@
 //  2. No dependencies: obs imports only the standard library, so every
 //     package (vclock included) can register metrics without cycles.
 //  3. Scrapes never block recorders: readers snapshot atomics; the only
-//     mutex guards registration and the trace ring, both cold.
+//     mutex guards registration, which is cold.
 package obs
 
 import (

@@ -134,14 +134,12 @@ func TestWritePrometheusLabeledFamilies(t *testing.T) {
 func TestDebugHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("poem_handler_total", "").Inc()
-	tr := NewTracer(4, 8)
-	h := tr.Begin(TraceRecord{Src: 1, Seq: 5, Stamp: 10, Ingest: 11})
-	rec := tr.Rec(h)
-	rec.Resolve, rec.Enqueue, rec.Send = 12, 13, 14
-	tr.Commit(h)
+	ring := NewRecorder(64)
+	tracePacket(ring, 100, 5, 6, 42)
+	ring.TraceIngest(200, 200) // partial: not drawn
 
 	gate := make(chan struct{})
-	srv := httptest.NewServer(Handler(reg, tr, gate))
+	srv := httptest.NewServer(Handler(reg, ring, gate))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -160,12 +158,13 @@ func TestDebugHandler(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/trace: %d", code)
 	}
-	var recs []TraceRecord
-	if err := json.Unmarshal([]byte(body), &recs); err != nil {
+	var doc traceDoc
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/trace JSON: %v\n%s", err, body)
 	}
-	if len(recs) != 1 || !recs[0].Complete() || recs[0].Seq != 5 {
-		t.Errorf("/trace records: %+v", recs)
+	if len(doc.TraceEvents) != 5 || doc.TraceEvents[0].Name != "packet" ||
+		doc.TraceEvents[0].Args["src"] != 5 || doc.TraceEvents[0].Args["relay"] != 6 {
+		t.Errorf("/trace events: %+v", doc.TraceEvents)
 	}
 	if code, _ := get("/healthz"); code != 200 {
 		t.Errorf("/healthz: %d", code)

@@ -1,44 +1,59 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
 // Packet-lifecycle tracing: a sampled packet is followed through the
 // five stages of the §3.2 pipeline —
 //
 //	client stamp → server ingest → dispatch resolve → queue enqueue → writer send
 //
-// — and its per-stage timestamps land in a fixed ring buffer, dumpable
-// as JSON from the /trace debug endpoint. Together with the stage
-// histograms this answers "where does time go inside the server" for
-// individual packets, not just in aggregate.
-//
-// Mechanics: the ingest path (already behind the server's sampling
-// gate) claims a preallocated slot with one CAS and threads the slot's
-// handle through the schedule item and the outbound queue entry, so
-// later stages write their timestamps straight into the slot — no hash
-// lookups, no allocation anywhere on the pipeline. The writer commits
-// the finished record into the ring (a cold, mutex-guarded copy) and
-// frees the slot. For broadcasts only the first surviving target
-// carries the handle, so exactly one delivery completes each record.
-//
-// Records are best-effort samples: a traced packet that is dropped
-// mid-pipeline releases its slot where the drop is observed, and a
-// reaper steals slots older than staleAfter (a traced packet abandoned
-// by a dying session) so leaks cannot disable tracing. A steal racing a
-// live owner can corrupt at most that one sampled record.
+// — as four events in the flight recorder (the stamp rides the ingest
+// event). The ingest event's sequence is the packet's trace id; the
+// pipeline carries it in the schedule item and the send-queue entry,
+// and each later stage records one event keyed by it. Nothing is
+// claimed and nothing needs releasing: a packet dropped mid-pipeline
+// simply leaves a partial trace, which the join below skips. Together
+// with the stage histograms this answers "where does time go inside
+// the server" for individual packets, not just in aggregate, and on
+// the same timeline as the scheduler's incidents.
 
-// Trace stage timestamps are emulation-clock nanoseconds (vclock.Time
-// values, kept as int64 so obs stays dependency-free).
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"strconv"
+)
 
-// TraceRecord is one packet's completed lifecycle.
+// TraceIngest records a sampled packet's ingest stage (at: ingest time,
+// stamp: the client's send stamp, both emulation ns) and returns its
+// trace id. The id is 0 — the packet goes untraced — in the one case in
+// 2³² where the claimed sequence truncates to 0.
+func (r *Recorder) TraceIngest(at, stamp int64) uint32 {
+	return uint32(r.Record(EvPktIngest, -1, at, 0, stamp))
+}
+
+// TraceResolve records the resolve stage of trace id.
+func (r *Recorder) TraceResolve(id uint32, at int64, src, dst uint32) {
+	r.Record(EvPktResolve, -1, at, int64(id), int64(uint64(src)<<32|uint64(dst)))
+}
+
+// TraceEnqueue records the enqueue stage of trace id on the delivering
+// shard.
+func (r *Recorder) TraceEnqueue(id uint32, shard int, at int64, channel, flow uint16, seq uint32) {
+	r.Record(EvPktEnqueue, shard, at, int64(id),
+		int64(uint64(channel)<<48|uint64(flow)<<32|uint64(seq)))
+}
+
+// TraceSend records the final stage of trace id: relay is the concrete
+// receiver the writer shipped it to.
+func (r *Recorder) TraceSend(id uint32, shard int, at int64, relay, size uint32) {
+	r.Record(EvPktSend, shard, at, int64(id), int64(uint64(relay)<<32|uint64(size)))
+}
+
+// TraceRecord is one packet's lifecycle, joined from its stage events.
 type TraceRecord struct {
+	ID      uint32 `json:"id"` // trace id: the ingest event's sequence
 	Src     uint32 `json:"src"`
 	Dst     uint32 `json:"dst"`
-	Relay   uint32 `json:"relay"` // concrete receiver that completed the record
+	Relay   uint32 `json:"relay"` // concrete receiver the packet was sent to
 	Channel uint16 `json:"channel"`
 	Flow    uint16 `json:"flow"`
 	Seq     uint32 `json:"seq"`
@@ -52,154 +67,114 @@ type TraceRecord struct {
 	Send    int64 `json:"send"`    // writer put it on the wire
 }
 
-// Complete reports whether every stage was recorded.
-func (r *TraceRecord) Complete() bool {
-	return r.Stamp != 0 && r.Ingest != 0 && r.Resolve != 0 && r.Enqueue != 0 && r.Send != 0
-}
-
-// staleAfter is how old (wall clock) a claimed slot must be before an
-// allocation may steal it. Pipeline residence is bounded by the stamp
-// clamp plus queueing — far under this.
-const staleAfter = 10 * time.Second
-
-// slotProbes bounds how many slots one Begin scans. Small, so a
-// saturated tracer costs the hot path a handful of loads, not a sweep.
-const slotProbes = 4
-
-// traceSlot is one in-flight trace.
-type traceSlot struct {
-	busy atomic.Uint32 // 0 free, 1 claimed
-	born atomic.Int64  // wall ns at claim, for stale reclamation
-	rec  TraceRecord
-}
-
-// Default tracer dimensions.
-const (
-	DefaultTraceSlots = 256
-	DefaultTraceRing  = 1024
-)
-
-// Tracer records sampled packet lifecycles. All methods are safe for
-// concurrent use; Begin/Rec/Commit/Release are allocation-free.
-type Tracer struct {
-	slots  []traceSlot
-	cursor atomic.Uint32 // round-robin claim start
-
-	dropped atomic.Uint64 // sampled but not committed (no slot / released)
-
-	mu    sync.Mutex
-	ring  []TraceRecord
-	next  int    // ring write position
-	n     int    // live records (≤ len(ring))
-	total uint64 // committed records ever
-}
-
-// NewTracer returns a tracer with the given number of in-flight slots
-// and ring capacity (≤ 0 selects the defaults).
-func NewTracer(slots, ringSize int) *Tracer {
-	if slots <= 0 {
-		slots = DefaultTraceSlots
+// PacketTraces joins the packet-stage events of a snapshot (oldest
+// first) into one record per sampled packet whose four stage events are
+// all present, in trace-id order. A packet dropped mid-pipeline, or
+// whose ingest the ring has already overwritten, is left out.
+func PacketTraces(events []Event) []TraceRecord {
+	type partial struct {
+		rec  TraceRecord
+		seen uint8 // bit k: stage EvPktIngest+k recorded
 	}
-	if ringSize <= 0 {
-		ringSize = DefaultTraceRing
-	}
-	return &Tracer{
-		slots: make([]traceSlot, slots),
-		ring:  make([]TraceRecord, ringSize),
-	}
-}
-
-// Begin claims a slot for a sampled packet and seeds it with rec (the
-// identity fields plus the stamp/ingest stages, known at ingest).
-// Returns the slot handle, or 0 when no slot is free — the packet just
-// goes untraced. Never blocks, never allocates.
-func (t *Tracer) Begin(rec TraceRecord) uint32 {
-	now := time.Now().UnixNano()
-	n := uint32(len(t.slots))
-	start := t.cursor.Add(1)
-	for i := uint32(0); i < slotProbes; i++ {
-		s := &t.slots[(start+i)%n]
-		if !s.busy.CompareAndSwap(0, 1) {
-			// Claimed: steal only if the owner is long gone. Freeing a
-			// stale slot lets the *next* Begin claim it — stealing and
-			// claiming in one step would race two stealers into the
-			// same slot.
-			if born := s.born.Load(); now-born > int64(staleAfter) {
-				if s.busy.CompareAndSwap(1, 0) {
-					t.dropped.Add(1)
-				}
+	byID := make(map[uint32]*partial)
+	var order []*partial
+	for _, ev := range events {
+		if ev.Kind == EvPktIngest {
+			if id := uint32(ev.Seq); id != 0 {
+				p := &partial{rec: TraceRecord{ID: id, Ingest: ev.At, Stamp: ev.B}, seen: 1}
+				byID[id] = p
+				order = append(order, p)
 			}
 			continue
 		}
-		s.born.Store(now)
-		s.rec = rec
-		return uint32((start+i)%n) + 1
+		if !ev.Kind.packetStage() {
+			continue
+		}
+		p := byID[uint32(ev.A)]
+		if p == nil {
+			continue
+		}
+		b := uint64(ev.B)
+		switch ev.Kind {
+		case EvPktResolve:
+			p.rec.Resolve, p.rec.Src, p.rec.Dst = ev.At, uint32(b>>32), uint32(b)
+		case EvPktEnqueue:
+			p.rec.Enqueue, p.rec.Channel, p.rec.Flow, p.rec.Seq = ev.At, uint16(b>>48), uint16(b>>32), uint32(b)
+		case EvPktSend:
+			p.rec.Send, p.rec.Relay, p.rec.Size = ev.At, uint32(b>>32), uint32(b)
+		}
+		p.seen |= 1 << (ev.Kind - EvPktIngest)
 	}
-	t.dropped.Add(1)
-	return 0
-}
-
-// Rec returns the in-flight record for a handle, for later stages to
-// fill in. Only the pipeline that owns the handle may write; the
-// pipeline's own happens-before edges (scanner heap mutex, send-queue
-// mutex) order the writes.
-func (t *Tracer) Rec(handle uint32) *TraceRecord {
-	return &t.slots[handle-1].rec
-}
-
-// Commit finishes a trace: the record is copied into the ring and the
-// slot freed. Cold path — runs once per sampled-and-delivered packet.
-func (t *Tracer) Commit(handle uint32) {
-	s := &t.slots[handle-1]
-	rec := s.rec
-	t.mu.Lock()
-	t.ring[t.next] = rec
-	t.next = (t.next + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.total++
-	t.mu.Unlock()
-	s.busy.Store(0)
-}
-
-// Release abandons a trace whose packet left the pipeline early (link
-// model drop, no route, queue eviction, departed session).
-func (t *Tracer) Release(handle uint32) {
-	t.slots[handle-1].busy.Store(0)
-	t.dropped.Add(1)
-}
-
-// Records returns the ring's contents, oldest first.
-func (t *Tracer) Records() []TraceRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceRecord, 0, t.n)
-	start := t.next - t.n
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
+	out := make([]TraceRecord, 0, len(order))
+	for _, p := range order {
+		if p.seen == 0xf {
+			out = append(out, p.rec)
+		}
 	}
 	return out
 }
 
-// Totals reports how many traces ever committed and how many sampled
-// packets were begun-but-dropped (or found no free slot).
-func (t *Tracer) Totals() (committed, dropped uint64) {
-	t.mu.Lock()
-	committed = t.total
-	t.mu.Unlock()
-	return committed, t.dropped.Load()
+// WriteTrace renders events as chrome://tracing "trace event format"
+// JSON (load it in chrome://tracing or Perfetto). Incidents are process
+// 0: batch fires become complete events spanning [due, fire] — the
+// bar's length *is* the lag — everything else an instant event, on one
+// row (tid) per shard, server-wide events on tid -1. Every packet with
+// a complete trace (PacketTraces) is process 1, on its own row named by
+// its trace id: one "packet" span carrying src, dst, relay, ch, flow,
+// seq and size as args, with its four stage spans — wire, resolve,
+// schedule, send — nested inside. A client stamp running ahead of the
+// server clock starts the packet at its ingest instead.
+func WriteTrace(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+	sep := ""
+	for _, ev := range events {
+		if ev.Kind.packetStage() {
+			continue
+		}
+		bw.WriteString(sep)
+		sep = ","
+		// Timestamps are microseconds in the trace format; At is ns.
+		switch ev.Kind {
+		case EvBatchFire:
+			// Span from when the batch was due to when it fired.
+			fmt.Fprintf(bw,
+				"{\"name\":%q,\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"args\":{\"seq\":%d,\"lag_ns\":%d,\"batch\":%d}}",
+				ev.Kind.String(), ev.Shard, (ev.At-ev.A)/1e3, ev.A/1e3, ev.Seq, ev.A, ev.B)
+		default:
+			fmt.Fprintf(bw,
+				"{\"name\":%q,\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{\"seq\":%d,\"a\":%d,\"b\":%d}}",
+				ev.Kind.String(), ev.Shard, ev.At/1e3, ev.Seq, ev.A, ev.B)
+		}
+	}
+	for _, p := range PacketTraces(events) {
+		bw.WriteString(sep)
+		sep = ","
+		start := min(p.Stamp, p.Ingest)
+		fmt.Fprintf(bw,
+			"{\"name\":\"packet\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":{\"src\":%d,\"dst\":%d,\"relay\":%d,\"ch\":%d,\"flow\":%d,\"seq\":%d,\"size\":%d}}",
+			p.ID, micros(start), span(start, p.Send),
+			p.Src, p.Dst, p.Relay, p.Channel, p.Flow, p.Seq, p.Size)
+		for _, st := range [...]struct {
+			name     string
+			from, to int64
+		}{
+			{"wire", start, p.Ingest},
+			{"resolve", p.Ingest, p.Resolve},
+			{"schedule", p.Resolve, p.Enqueue},
+			{"send", p.Enqueue, p.Send},
+		} {
+			fmt.Fprintf(bw, ",{\"name\":%q,\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s}",
+				st.name, p.ID, micros(st.from), span(st.from, st.to))
+		}
+	}
+	bw.WriteString("]}\n")
+	return bw.Flush()
 }
 
-// Instrument registers the tracer's own counters on reg.
-func (t *Tracer) Instrument(reg *Registry) {
-	reg.CounterFunc("poem_trace_records_total",
-		"completed five-stage packet lifecycle traces",
-		func() uint64 { c, _ := t.Totals(); return c })
-	reg.CounterFunc("poem_trace_dropped_total",
-		"sampled packets whose trace was abandoned mid-pipeline or found no free slot",
-		func() uint64 { _, d := t.Totals(); return d })
-}
+// micros formats emulation ns as trace-format microseconds. Packet
+// stages are often sub-µs apart, so they keep the fraction.
+func micros(ns int64) string { return strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64) }
+
+// span is the µs duration from→to, floored at zero.
+func span(from, to int64) string { return micros(max(to-from, 0)) }

@@ -160,7 +160,7 @@ func (s *Scene) publishLocked() {
 // SetRebuildObserver installs fn to observe every channel-view rebuild
 // (nil removes it). It runs under the scene mutex, once per rebuilt
 // channel per publish: fn must be fast, lock-free, and must not call
-// back into the scene. The fidelity flight recorder uses it to place
+// back into the scene. The server's flight recorder uses it to place
 // rebuild storms on the same timeline as scheduler lag.
 func (s *Scene) SetRebuildObserver(fn func(radio.ChannelID)) {
 	s.mu.Lock()

@@ -25,7 +25,7 @@ type Item struct {
 	To  radio.NodeID
 	Pkt wire.Packet
 
-	// Trace carries the packet's obs trace-slot handle through the
+	// Trace carries the packet's obs trace id through the
 	// schedule (0 = untraced). A broadcast attaches it only to the first
 	// scheduled target, so exactly one delivery completes the record.
 	Trace uint32

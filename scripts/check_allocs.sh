@@ -54,10 +54,11 @@ echo "$SCHED" | awk '
 echo "scanner alloc gate: OK (sleep/fire cycle allocation-free)"
 
 # The fidelity monitor rides the same fire edge: one Shard.Record per
-# scanner batch plus flight-recorder appends from the cold paths. Both
-# must stay allocation-free in steady state or monitoring stops being
-# "~0% overhead" (BENCH_rt.json records the baseline costs).
-FID=$(go test -run='^$' -bench='ShardRecord|RecorderRecord' -benchmem -benchtime=10000x ./internal/obs/fidelity)
+# scanner batch plus flight-recorder appends (internal/obs) from the
+# cold paths and the stages of sampled packets. Both must stay
+# allocation-free in steady state or monitoring stops being "~0%
+# overhead" (BENCH_rt.json records the baseline costs).
+FID=$(go test -run='^$' -bench='ShardRecord|RecorderRecord' -benchmem -benchtime=10000x ./internal/obs/fidelity ./internal/obs)
 echo "$FID"
 
 echo "$FID" | awk '

@@ -29,5 +29,6 @@ run ./internal/routing FuzzProtocolsSurviveGarbage
 run ./internal/gateway FuzzGatewayFrame
 run ./internal/gateway FuzzParsePortMap
 run ./internal/control FuzzControlExecute
+run ./internal/core FuzzSessionStream
 
 echo "fuzz smoke: all targets survived $FUZZTIME"
